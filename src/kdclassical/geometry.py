@@ -60,6 +60,23 @@ class MembershipVerdict:
         }
 
 
+@dataclass(frozen=True)
+class HullSystem:
+    """A projector list stacked once, for many hull-membership queries.
+
+    ``matrix`` has one stacked-real column per projector and ``gram`` is
+    ``matrix.T @ matrix``; every query against the list shares both.
+    """
+
+    matrix: np.ndarray
+    gram: np.ndarray
+
+
+def hull_system(projectors) -> HullSystem:
+    mat = stack_real(projectors)
+    return HullSystem(matrix=mat, gram=mat.T @ mat)
+
+
 def stack_real(matrices) -> np.ndarray:
     """Columns of [Re(flat); Im(flat)] per matrix; column norms are Frobenius norms."""
     cols = [np.asarray(m, dtype=np.complex128).reshape(-1) for m in matrices]
@@ -279,19 +296,24 @@ def hull_membership(
     tol: Tolerances = DEFAULT_TOL,
     labels=None,
 ) -> MembershipVerdict:
-    """Distance minimization over convex combinations of the projector list."""
+    """Distance minimization over convex combinations of the projector list.
+
+    ``projectors`` is a list of projectors, or a :class:`HullSystem` built
+    from one with :func:`hull_system` when many states are tested against
+    the same list.
+    """
     a = require_hermitian(rho, INPUT_GATE_TOL)
     trace = complex(a.trace())
     if abs(trace - 1.0) > INPUT_GATE_TOL:
         raise NotUnitTrace(f"trace is {trace!r}, expected 1")
-    mat = stack_real(projectors)
+    system = projectors if isinstance(projectors, HullSystem) else hull_system(projectors)
     vec = stack_real([a]).reshape(-1)
-    coeffs, distance = simplex_least_squares(mat, vec)
+    coeffs, distance = simplex_least_squares(system.matrix, vec, gram=system.gram)
     member = distance <= tol.recon
     certificate = None
     if member:
         if labels is None:
-            labels = [f"P[{k}]" for k in range(len(projectors))]
+            labels = [f"P[{k}]" for k in range(len(coeffs))]
         certificate = DecompositionCertificate(
             labels=tuple(labels),
             coefficients=coeffs,

@@ -7,6 +7,12 @@ x+ = min(1/(d f_max), 1/(d^2 max|Q(F)|)) keeps the result both positive
 semidefinite and entrywise nonnegative), and Ginibre density matrices.
 The probe classifies samples by classicality and hull membership and
 archives candidate counterexamples with full seed provenance.
+
+Everything a probe call shares across its samples is built once per call:
+the basis pair, the family projectors stacked with their Gram matrix
+(:class:`~kdclassical.geometry.HullSystem`) and, in perturb mode, the
+traceless direction basis (:class:`PerturbationBasis`). Per sample only the
+draw, its table and its hull solve remain.
 """
 
 from __future__ import annotations
@@ -18,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dft import dft_pair
+from .dft import BasisPair, dft_pair
 from .engine import classicality, kd_table
-from .exceptions import SolverDidNotConverge, ZeroDirection
+from .exceptions import BadDimension, SolverDidNotConverge, ZeroDirection
 from .families import all_projectors, pure_kd_set
-from .geometry import hull_membership, stack_real
+from .geometry import hull_membership, hull_system, stack_real
 from .kdreal import kd_real_basis, kd_real_condition
 from .linalg import Tolerances, matrix_to_json
 
@@ -104,6 +110,22 @@ def traceless_real_table_directions(f_basis, d: int) -> np.ndarray:
     return u[:, keep]
 
 
+@dataclass(frozen=True)
+class PerturbationBasis:
+    """Traceless real-table directions and the basis pair, built once for many draws.
+
+    ``sample_kd_boundary`` accepts one in place of an operator basis and then
+    skips rebuilding the directions; the draws are identical either way.
+    """
+
+    pair: BasisPair
+    directions: np.ndarray
+
+
+def perturbation_basis(f_basis, pair: BasisPair) -> PerturbationBasis:
+    return PerturbationBasis(pair=pair, directions=traceless_real_table_directions(f_basis, pair.dim))
+
+
 def _matrix_from_stacked(vec: np.ndarray, d: int) -> np.ndarray:
     re = vec[: d * d].reshape(d, d)
     im = vec[d * d :].reshape(d, d)
@@ -116,9 +138,16 @@ def perturbation_state(f: np.ndarray, x: float, d: int) -> np.ndarray:
 
 
 def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndarray:
-    """One line-perturbation sample rho(x) with x drawn uniformly on [0, x+]."""
+    """One line-perturbation sample rho(x) with x drawn uniformly on [0, x+].
+
+    ``f_basis`` is a list of operators with all-real tables, or a
+    :class:`PerturbationBasis` built from one with :func:`perturbation_basis`.
+    """
     d = config.d
-    directions = traceless_real_table_directions(f_basis, d)
+    basis = f_basis if isinstance(f_basis, PerturbationBasis) else perturbation_basis(f_basis, dft_pair(d))
+    if basis.pair.dim != d:
+        raise BadDimension(f"perturbation basis has dimension {basis.pair.dim}, config says {d}")
+    directions = basis.directions
     if directions.shape[1] == 0:
         raise ZeroDirection("basis has no traceless component")
     rng = _rng(config.seed, index)
@@ -128,7 +157,7 @@ def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndar
     if float(np.linalg.norm(f)) < 1e-14:
         raise ZeroDirection("drawn direction is numerically zero")
     f_max = float(np.abs(np.linalg.eigvalsh(f)).max())
-    q_max = float(np.abs(kd_table(f, dft_pair(d)).values).max())
+    q_max = float(np.abs(kd_table(f, basis.pair).values).max())
     # Table entries of I/d are 1/d^2, so nonnegativity of the table needs the
     # d^2 denominator; eigenvalues of I/d are 1/d, hence the d denominator.
     x_plus = min(1.0 / (d * f_max), 1.0 / (d * d * q_max))
@@ -149,13 +178,20 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
     ten times the reconstruction tolerance is archived (when out_dir is
     given) together with a manifest carrying its full provenance. Samples
     are independent given their per-index derived seeds, so the tallies are
-    order-independent. Solver failures are tallied, classified as
-    classical_not_member, and never archived.
+    order-independent. The basis pair, the stacked projectors with their
+    Gram matrix and the perturbation directions are built once per call;
+    per sample only the draw, its table and its hull solve remain.
+    solver_failures counts every sample whose hull solve did not converge,
+    non-classical ones included; a classical sample among them is counted
+    as classical_not_member and never archived.
     """
     tol = config.tolerances
     pair = dft_pair(config.d)
+    # The direction basis is built before the stacked projectors, so that
+    # its SVD workspace is freed before they are allocated.
+    directions = perturbation_basis(kd_real_basis(config.d), pair) if config.mode == "perturb" else None
     projectors, _ = all_projectors(pure_kd_set(pair))
-    directions = kd_real_basis(config.d) if config.mode == "perturb" else None
+    system = hull_system(projectors)
 
     counts = {"classical_and_member": 0, "classical_not_member": 0, "not_classical": 0}
     worst_margin = 0.0
@@ -174,7 +210,7 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
 
         verdict = classicality(kd_table(rho, pair), tol)
         try:
-            membership = hull_membership(rho, projectors, tol)
+            membership = hull_membership(rho, system, tol)
             distance = membership.distance
             member = membership.member
         except SolverDidNotConverge:

@@ -93,12 +93,10 @@ def kd_real_condition(f: np.ndarray, tol: float = CONDITION_TOL) -> bool:
     a = require_hermitian(f, tol)
     d = a.shape[0]
     idx = np.arange(d)
-    worst = 0.0
-    for k in range(d):
-        lhs = a[idx, (idx + k) % d]
-        rhs = a[(idx - k) % d, idx]
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst <= tol
+    k = idx[:, None]  # one row of cells per shift
+    lhs = a[idx, (idx + k) % d]
+    rhs = a[(idx - k) % d, idx]
+    return float(np.abs(lhs - rhs).max()) <= tol
 
 
 def b_side_condition(g: np.ndarray, pair: BasisPair, tol: float = CONDITION_TOL) -> bool:

@@ -42,10 +42,12 @@ DEFAULT_TOL = Tolerances()
 
 
 def as_matrix(m: np.ndarray) -> np.ndarray:
-    """Coerce to a square complex128 array."""
+    """Coerce to a square complex128 array with finite entries."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     return a
 
 
@@ -120,7 +122,11 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     """Decode the interchange schema; raises ValueError on malformed input."""
     if not isinstance(doc, dict) or "d" not in doc or "entries" not in doc:
         raise ValueError("matrix document must have keys 'd' and 'entries'")
-    d = int(doc["d"])
+    d = doc["d"]
+    if isinstance(d, float) and d.is_integer():
+        d = int(d)
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ValueError(f"matrix dimension must be an integer, got {d!r}")
     if d < 1:
         raise ValueError("matrix dimension must be >= 1")
     entries = doc["entries"]
@@ -131,4 +137,4 @@ def matrix_from_json(doc: dict) -> np.ndarray:
         if len(pair) != 2:
             raise ValueError("each entry must be a [re, im] pair")
         flat[k] = complex(float(pair[0]), float(pair[1]))
-    return flat.reshape(d, d)
+    return as_matrix(flat.reshape(d, d))

@@ -1,12 +1,16 @@
 """Least squares over the probability simplex.
 
 Solves  minimize ||A x - b||_2  subject to  x >= 0, sum(x) = 1  with a
-primal active-set iteration: on the current free set the equality-constrained
-normal equations are solved exactly through their KKT system, blocking
-variables are dropped along feasible line steps, and variables enter by the
-most negative reduced cost. Termination is by the KKT optimality test, so the
-returned objective is optimal up to linear-algebra roundoff. Deterministic
-for a fixed column order; re-entrant (no shared state).
+primal active-set iteration (Lawson & Hanson, *Solving Least Squares
+Problems*, 1974): on the current free set the equality-constrained normal
+equations are solved through their KKT system, blocking variables are
+dropped along feasible line steps, and variables enter by the most negative
+reduced cost. Each KKT system is solved by LU factorization; when LU finds
+it singular or returns non-finite values, the step falls back to the
+minimum-norm least-squares solution. Termination is by the KKT optimality
+test, and the returned distance is recomputed from ``A x - b``, so it is
+optimal up to linear-algebra roundoff. Deterministic for a fixed column
+order; re-entrant (no shared state).
 """
 
 from __future__ import annotations
@@ -20,9 +24,13 @@ _DUAL_TOL = 1e-11
 
 
 def simplex_least_squares(
-    a: np.ndarray, b: np.ndarray, max_iter: int | None = None
+    a: np.ndarray, b: np.ndarray, max_iter: int | None = None, gram: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
-    """Return (x, distance) for the simplex-constrained least-squares problem."""
+    """Return (x, distance) for the simplex-constrained least-squares problem.
+
+    ``gram`` is ``a.T @ a`` when the caller already holds it, as it does when
+    many right-hand sides share one ``a``; it is computed here otherwise.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     n = a.shape[1]
@@ -31,7 +39,8 @@ def simplex_least_squares(
     if max_iter is None:
         max_iter = 10 * n + 100
 
-    gram = a.T @ a
+    if gram is None:
+        gram = a.T @ a
     h = a.T @ b
 
     # Best single vertex is a feasible start.
@@ -78,11 +87,15 @@ def simplex_least_squares(
 def _solve_free(gram: np.ndarray, h: np.ndarray, free: list[int]) -> tuple[np.ndarray, float]:
     """Equality-constrained minimizer on the free set via the KKT system."""
     k = len(free)
-    kkt = np.empty((k + 1, k + 1))
-    kkt[:k, :k] = gram[np.ix_(free, free)]
-    kkt[:k, k] = 1.0
-    kkt[k, :k] = 1.0
+    idx = np.asarray(free, dtype=np.intp)
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = gram.take(idx, axis=0).take(idx, axis=1)
     kkt[k, k] = 0.0
-    rhs = np.append(h[free], 1.0)
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    rhs = np.append(h.take(idx), 1.0)
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = None
+    if sol is None or not np.isfinite(sol).all():
+        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     return sol[:k], float(sol[k])

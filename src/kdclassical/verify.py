@@ -19,8 +19,8 @@ import numpy as np
 from .dft import dft_pair
 from .engine import classicality, is_kd_real, kd_table, support_counts
 from .families import all_projectors, factorizations, family_identity_sums, pure_kd_set
-from .geometry import decompose_p2, decompose_pq_three, hull_membership, quadruple_conditions_p2
-from .harness import SampleConfig, probe_conjecture, sample_kd_boundary
+from .geometry import decompose_p2, decompose_pq_three, hull_membership, hull_system, quadruple_conditions_p2
+from .harness import SampleConfig, perturbation_basis, probe_conjecture, sample_kd_boundary
 from .kdreal import b_side_condition, entry_partition, kd_real_basis, kd_real_condition, kd_real_dimension
 from .linalg import DEFAULT_TOL, real_span_rank
 
@@ -287,8 +287,8 @@ def check_p2_roundtrip(d: int, n: int = 500) -> CheckResult:
     if p * p != d:
         raise ValueError(f"d={d} is not a perfect square")
     pair = dft_pair(d)
-    projectors, _ = all_projectors(pure_kd_set(pair))
-    basis = kd_real_basis(d)
+    system = hull_system(all_projectors(pure_kd_set(pair))[0])
+    basis = perturbation_basis(kd_real_basis(d), pair)
     config = SampleConfig(d=d, seed=ROUNDTRIP_SEED, n_samples=n, mode="perturb")
     failures = []
     not_member = 0
@@ -302,7 +302,7 @@ def check_p2_roundtrip(d: int, n: int = 500) -> CheckResult:
             failures.append(f"sample {index} fails quadruple identities")
             continue
         cert = decompose_p2(rho, pair, p)
-        membership = hull_membership(rho, projectors)
+        membership = hull_membership(rho, system)
         if not membership.member:
             not_member += 1
         if not (

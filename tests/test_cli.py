@@ -83,6 +83,26 @@ def test_check_verdict(tmp_path, capsys):
     assert doc["classical"] is True and doc["witness"] is None
 
 
+@pytest.mark.parametrize("command", ["check", "member"])
+def test_non_finite_state_exits_2(tmp_path, capsys, command):
+    doc = matrix_to_json(np.eye(4) / 4)
+    doc["entries"][5] = ["nan", 0.0]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run([command, "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-finite" in captured.err
+
+
+def test_non_integer_dimension_exits_2(tmp_path, capsys):
+    doc = matrix_to_json(np.eye(2) / 2)
+    doc["d"] = 2.7
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["check", "--state", str(path)]) == 2
+    assert "integer" in capsys.readouterr().err
+
+
 def test_check_env_tolerance_override(tmp_path, capsys, monkeypatch):
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[1] = 1 / np.sqrt(2)

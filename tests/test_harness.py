@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kdclassical import (
+    BadDimension,
     SampleConfig,
     Tolerances,
     ZeroDirection,
@@ -21,6 +22,7 @@ from kdclassical import (
     sample_kd_boundary,
 )
 from kdclassical.families import all_projectors
+from kdclassical.harness import perturbation_basis
 
 
 def test_sample_config_validation():
@@ -96,6 +98,35 @@ def test_boundary_deterministic():
     assert np.array_equal(
         sample_kd_boundary(config, basis, index=3), sample_kd_boundary(config, basis, index=3)
     )
+
+
+@pytest.mark.parametrize("d, indices", [(6, range(12)), (30, range(3))])
+def test_prebuilt_perturbation_basis_draws_identical_states(d, indices):
+    config = SampleConfig(d=d, seed=12721, n_samples=1, mode="perturb")
+    basis = kd_real_basis(d)
+    prebuilt = perturbation_basis(basis, dft_pair(d))
+    for index in indices:
+        assert np.array_equal(
+            sample_kd_boundary(config, prebuilt, index=index),
+            sample_kd_boundary(config, basis, index=index),
+        )
+
+
+def test_prebuilt_perturbation_basis_must_match_the_dimension():
+    config = SampleConfig(d=4, seed=1, n_samples=1, mode="perturb")
+    with pytest.raises(BadDimension):
+        sample_kd_boundary(config, perturbation_basis(kd_real_basis(6), dft_pair(6)))
+
+
+def test_readme_finding_at_d6(tmp_path):
+    config = SampleConfig(d=6, seed=12721, n_samples=500, mode="perturb")
+    report = probe_conjecture(config, out_dir=tmp_path)
+    assert report.counts == {"classical_and_member": 499, "classical_not_member": 1, "not_classical": 0}
+    assert abs(report.worst_margin - 0.022795728761780557) <= 1e-12
+    assert report.solver_failures == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [c["sample_index"] for c in manifest["candidates"]] == [235]
+    assert [p.rsplit("/", 1)[-1] for p in report.counterexample_files] == ["counterexample_00235.json"]
 
 
 def test_probe_deterministic_counts():

@@ -89,6 +89,29 @@ def test_condition_d6_unequal_half_shift_pair():
     assert kd_real_condition(f_ok)
 
 
+def loop_condition_deviation(f: np.ndarray) -> float:
+    """Worst |F_{i(i+k)} - F_{(i-k)i}|, one shift k at a time."""
+    d = f.shape[0]
+    idx = np.arange(d)
+    worst = 0.0
+    for k in range(d):
+        worst = max(worst, float(np.abs(f[idx, (idx + k) % d] - f[(idx - k) % d, idx]).max()))
+    return worst
+
+
+@pytest.mark.parametrize("d", [2, 5, 6, 9, 12])
+def test_condition_gather_matches_the_loop_over_shifts(d):
+    rng = np.random.default_rng(d)
+    for f in [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(5)]:
+        f = f + f.conj().T
+        worst = loop_condition_deviation(f)
+        assert worst > 0.0
+        assert kd_real_condition(f, worst)
+        assert not kd_real_condition(f, np.nextafter(worst, 0.0))
+    for f in kd_real_basis(d):
+        assert loop_condition_deviation(f) == 0.0 and kd_real_condition(f, 1e-300)
+
+
 def test_condition_requires_hermitian():
     bad = np.zeros((3, 3), dtype=complex)
     bad[0, 1] = 1.0

@@ -135,6 +135,31 @@ def test_matrix_from_json_validation():
         matrix_from_json({"d": 1, "entries": [[1, 0, 0]]})
 
 
+def test_matrix_from_json_rejects_non_finite_entries():
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="non-finite"):
+            matrix_from_json({"d": 2, "entries": [[0.5, 0], [0, 0], [0, 0], [bad, 0]]})
+    with pytest.raises(ValueError, match="non-finite"):
+        matrix_from_json({"d": 1, "entries": [[1, "nan"]]})
+
+
+def test_matrix_from_json_rejects_non_integer_dimension():
+    for bad in (2.7, "2", True, None, float("nan")):
+        with pytest.raises(ValueError, match="integer"):
+            matrix_from_json({"d": bad, "entries": [[1, 0]] * 4})
+    assert matrix_from_json({"d": 2.0, "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}).shape == (2, 2)
+
+
+def test_non_finite_matrices_are_rejected():
+    a = np.eye(3) / 3
+    a[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        is_hermitian(a)
+    a[1, 2] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        is_density_matrix(a)
+
+
 def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
         Tolerances(eig_psd=0.0)
