@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 validation error (bad input file, dimension
 mismatch, failed precondition), 3 negative verdict from ``verify``,
-4 solver non-convergence. Human-readable messages go to stderr;
-``--json`` switches stdout to machine-readable JSON where a subcommand
-has a prose default. The environment variable ``KD_DEFAULT_TOL``
+4 solver failure (non-convergence or a numpy ``LinAlgError``).
+Human-readable messages go to stderr; ``--json`` switches stdout to
+machine-readable JSON where a subcommand has a prose default. The environment variable ``KD_DEFAULT_TOL``
 overrides the classicality tolerance.
 """
 
@@ -16,6 +16,8 @@ import math
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .dft import dft_pair
@@ -295,7 +297,7 @@ def _cmd_probe(args) -> int:
         tolerances=default_tolerances(),
     )
     report = probe_conjecture(config, out_dir=args.out)
-    print(json.dumps(report.to_json()))
+    print(json.dumps(report.to_json(), allow_nan=False))
     return EXIT_OK
 
 
@@ -341,6 +343,9 @@ def run(argv: list[str]) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but a numerical failure
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -98,12 +98,12 @@ def sample_hull_point(config: SampleConfig, projectors, index: int = 0) -> np.nd
 
 def traceless_real_table_directions(f_basis, d: int) -> np.ndarray:
     """Orthonormal stacked-real basis of the traceless part of span(f_basis)."""
-    traceless = []
+    if not kd_real_condition(np.asarray(f_basis, dtype=np.complex128), 1e-9):
+        raise ValueError("basis member does not have an entrywise-real table")
     eye = np.eye(d, dtype=np.complex128)
-    for f in f_basis:
-        if not kd_real_condition(f, 1e-9):
-            raise ValueError("basis member does not have an entrywise-real table")
-        traceless.append(f - (np.trace(f) / d) * eye)
+    # Per member on purpose: one stacked traceless array here raises the
+    # probe's peak RSS at d = 30 through heap fragmentation.
+    traceless = [f - (np.trace(f) / d) * eye for f in f_basis]
     block = stack_real(traceless)
     u, sigma, _ = np.linalg.svd(block, full_matrices=False)
     keep = sigma > 1e-12 * (sigma[0] if sigma.size else 1.0)
@@ -183,7 +183,8 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
     per sample only the draw, its table and its hull solve remain.
     solver_failures counts every sample whose hull solve did not converge,
     non-classical ones included; a classical sample among them is counted
-    as classical_not_member and never archived.
+    as classical_not_member, never archived, and left out of worst_margin,
+    which is the largest distance among solved classical non-members.
     """
     tol = config.tolerances
     pair = dft_pair(config.d)
@@ -211,23 +212,20 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
         verdict = classicality(kd_table(rho, pair), tol)
         try:
             membership = hull_membership(rho, system, tol)
-            distance = membership.distance
-            member = membership.member
         except SolverDidNotConverge:
             solver_failures += 1
-            distance = float("inf")
-            member = False
+            membership = None
 
         if not verdict.classical:
             counts["not_classical"] += 1
-            continue
-        worst_margin = max(worst_margin, 0.0 if member else distance)
-        if member:
+        elif membership is not None and membership.member:
             counts["classical_and_member"] += 1
         else:
             counts["classical_not_member"] += 1
-            if np.isfinite(distance) and distance > 10 * tol.recon:
-                candidates.append((index, rho, distance))
+            if membership is not None:
+                worst_margin = max(worst_margin, membership.distance)
+                if membership.distance > 10 * tol.recon:
+                    candidates.append((index, rho, membership.distance))
 
     files: list[str] = []
     if out_dir is not None and candidates:
@@ -267,5 +265,5 @@ def _archive(config: SampleConfig, candidates, out_dir: Path) -> list[str]:
         },
         "candidates": entries,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False), encoding="utf-8")
     return files

@@ -89,14 +89,19 @@ def entry_partition(d: int) -> EntryPartition:
 
 
 def kd_real_condition(f: np.ndarray, tol: float = CONDITION_TOL) -> bool:
-    """Entry condition F_{i(i+k)} = F_{(i-k)i} for all i, k in Z_d."""
+    """Entry condition F_{i(i+k)} = F_{(i-k)i} for all i, k in Z_d.
+
+    ``f`` is one operator or a stack ``(m, d, d)`` of them; a stack meets the
+    condition when every member does, and raises NotHermitian when any
+    member is not Hermitian within ``tol``.
+    """
     a = require_hermitian(f, tol)
-    d = a.shape[0]
+    d = a.shape[-1]
     idx = np.arange(d)
     k = idx[:, None]  # one row of cells per shift
-    lhs = a[idx, (idx + k) % d]
-    rhs = a[(idx - k) % d, idx]
-    return float(np.abs(lhs - rhs).max()) <= tol
+    dev = a[..., idx, (idx + k) % d]
+    dev -= a[..., (idx - k) % d, idx]
+    return float(np.abs(dev).max()) <= tol
 
 
 def b_side_condition(g: np.ndarray, pair: BasisPair, tol: float = CONDITION_TOL) -> bool:

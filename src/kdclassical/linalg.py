@@ -34,8 +34,8 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name in ("eig_psd", "classicality", "rank_rel", "recon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"tolerance {name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < float("inf"):  # also False for NaN
+                raise ValueError(f"tolerance {name} must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
@@ -43,9 +43,14 @@ DEFAULT_TOL = Tolerances()
 
 def as_matrix(m: np.ndarray) -> np.ndarray:
     """Coerce to a square complex128 array with finite entries."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return _checked(np.asarray(m, dtype=np.complex128), 2)
+
+
+def _checked(a: np.ndarray, ndim: int) -> np.ndarray:
+    """``a`` if it is one square matrix (ndim 2) or a nonempty stack of them (ndim 3), all finite."""
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2] or min(a.shape) < 1:
+        kind = "a square matrix" if ndim == 2 else "a stack of square matrices"
+        raise ValueError(f"expected {kind}, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
@@ -58,8 +63,12 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
-    a = as_matrix(m)
-    dev = float(np.abs(a - a.conj().T).max())
+    """One square matrix, or a stack ``(k, d, d)`` of them, checked Hermitian within ``tol``."""
+    a = np.asarray(m, dtype=np.complex128)
+    a = _checked(a, 3 if a.ndim == 3 else 2)
+    adjoint = np.swapaxes(a, -1, -2).conj()
+    adjoint -= a
+    dev = float(np.abs(adjoint).max())
     if dev > tol:
         raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
     return a

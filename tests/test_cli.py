@@ -259,3 +259,41 @@ def test_verify_d9_passes(capsys):
     out = capsys.readouterr().out
     assert "rank 21, expected 21" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_env_tolerance_exits_2(tmp_path, capsys, monkeypatch, value):
+    state = write_state(tmp_path / "s.json", np.eye(4) / 4)
+    monkeypatch.setenv("KD_DEFAULT_TOL", value)
+    assert run(["check", "--state", state]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "KD_DEFAULT_TOL" in captured.err
+
+
+def test_linear_algebra_failure_maps_to_exit_4(tmp_path, capsys, monkeypatch):
+    from kdclassical import cli as cli_module
+
+    def explode(*args, **kwargs):
+        raise np.linalg.LinAlgError("stub")
+
+    monkeypatch.setattr(cli_module, "hull_membership", explode)
+    state = write_state(tmp_path / "s.json", np.eye(4) / 4)
+    assert run(["member", "--state", state]) == 4
+    assert "solver error" in capsys.readouterr().err
+
+
+def test_probe_output_stays_strict_json_when_solves_fail(tmp_path, capsys, monkeypatch):
+    from kdclassical import SolverDidNotConverge
+    from kdclassical import harness as harness_module
+
+    def explode(*args, **kwargs):
+        raise SolverDidNotConverge("stub")
+
+    def no_constants(name):
+        raise AssertionError(f"non-JSON token {name}")
+
+    monkeypatch.setattr(harness_module, "hull_membership", explode)
+    args = ["probe", "--d", "6", "--mode", "perturb", "--samples", "4", "--seed", "12721"]
+    assert run(args + ["--out", str(tmp_path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=no_constants)
+    assert doc["worst_margin"] == 0.0 and doc["solver_failures"] == 4

@@ -7,7 +7,9 @@ import pytest
 
 from kdclassical import (
     BadDimension,
+    NotHermitian,
     SampleConfig,
+    SolverDidNotConverge,
     Tolerances,
     ZeroDirection,
     classicality,
@@ -200,3 +202,30 @@ def test_probe_report_json_shape():
         "notes",
     }
     assert sum(doc["counts"].values()) == 5
+
+
+def test_direction_basis_rejects_one_bad_member():
+    basis = kd_real_basis(6)
+    off_table = np.zeros((6, 6), dtype=complex)
+    off_table[0, 1] = off_table[1, 0] = 1.0  # Hermitian, but breaks the shift condition
+    with pytest.raises(ValueError, match="entrywise-real table"):
+        perturbation_basis(basis[:7] + [off_table] + basis[7:], dft_pair(6))
+    not_hermitian = np.zeros((6, 6), dtype=complex)
+    not_hermitian[0, 1] = 1.0
+    with pytest.raises(NotHermitian):
+        perturbation_basis(basis[:3] + [not_hermitian] + basis[3:], dft_pair(6))
+
+
+def test_failed_solves_stay_out_of_worst_margin(tmp_path, monkeypatch):
+    import kdclassical.harness as harness_module
+
+    def explode(*args, **kwargs):
+        raise SolverDidNotConverge("stub")
+
+    monkeypatch.setattr(harness_module, "hull_membership", explode)
+    config = SampleConfig(d=6, seed=12721, n_samples=6, mode="perturb")
+    report = probe_conjecture(config, out_dir=tmp_path)
+    assert report.counts == {"classical_and_member": 0, "classical_not_member": 6, "not_classical": 0}
+    assert report.solver_failures == 6 and report.worst_margin == 0.0
+    assert report.counterexample_files == () and not list(tmp_path.iterdir())
+    json.dumps(report.to_json(), allow_nan=False)

@@ -20,6 +20,7 @@ from kdclassical import (
     real_span_rank,
 )
 from kdclassical.families import all_projectors
+from kdclassical.linalg import require_hermitian
 
 
 def test_is_hermitian_identity():
@@ -165,3 +166,22 @@ def test_tolerances_must_be_positive():
         Tolerances(eig_psd=0.0)
     with pytest.raises(ValueError):
         Tolerances(recon=-1e-9)
+
+
+@pytest.mark.parametrize("field", ["eig_psd", "classicality", "rank_rel", "recon"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_tolerances_must_be_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        Tolerances(**{field: value})
+
+
+def test_hermitian_check_of_a_stack_names_any_bad_member():
+    stack = np.stack([np.eye(3, dtype=complex)] * 4)
+    assert require_hermitian(stack, 1e-12).shape == (4, 3, 3)
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(NotHermitian):
+        require_hermitian(stack, 1e-12)
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        require_hermitian(np.zeros((0, 3, 3)), 1e-12)
+    with pytest.raises(ValueError, match="non-finite"):
+        require_hermitian(np.full((2, 3, 3), np.nan), 1e-12)
