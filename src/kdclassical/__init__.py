@@ -29,6 +29,7 @@ from .exceptions import (
     NotNormalized,
     NotUnitTrace,
     SolverDidNotConverge,
+    TooLarge,
     ValidationError,
     WrongFamilyKind,
     ZeroDirection,

@@ -23,7 +23,7 @@ from . import __version__
 from .dft import dft_pair
 from .engine import classicality, kd_table
 from .exceptions import SolverDidNotConverge, ValidationError
-from .families import all_projectors, pure_kd_set
+from .families import all_projectors, lettered_families, pure_kd_set
 from .geometry import decompose_p2, decompose_pq_three, hull_membership
 from .harness import MODES, SampleConfig, probe_conjecture
 from .kdreal import entry_partition, kd_real_dimension, render_partition
@@ -227,26 +227,12 @@ def _cmd_real_dim(args) -> int:
 
 def _cmd_span_rank(args) -> int:
     pair = dft_pair(args.d)
-    families = pure_kd_set(pair)
     if args.sets is None:
-        projectors = all_projectors(families)[0]
+        projectors = all_projectors(pure_kd_set(pair))[0]
         chosen = "all"
     else:
         chosen = args.sets.upper()
-        by_label = {}
-        for fam in families:
-            if fam.label == "A":
-                by_label["A"] = fam
-            elif fam.label == "B":
-                by_label["B"] = fam
-            elif fam.label.startswith("PSI") and "C" not in by_label:
-                by_label["C"] = fam
-            elif fam.label.startswith("PHI") and "D" not in by_label:
-                by_label["D"] = fam
-        bad = [c for c in chosen if c not in by_label]
-        if bad:
-            raise ValidationError(f"no family named {bad[0]!r} at d={args.d}")
-        projectors = [p for c in chosen for p in by_label[c].projectors()]
+        projectors = [p for fam in lettered_families(pair, chosen).values() for p in fam.projectors()]
     rank = real_span_rank(projectors)
     if args.json:
         print(json.dumps({"d": args.d, "sets": chosen, "rank": rank}))

@@ -64,5 +64,9 @@ class ZeroDirection(ValidationError):
     pass
 
 
+class TooLarge(ValidationError):
+    """The run would need more memory than the machine has."""
+
+
 class SolverDidNotConverge(KDError):
     """The constrained least-squares solver hit its iteration cap."""

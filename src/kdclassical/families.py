@@ -12,13 +12,14 @@ kept distinct: (p,q) and (q,p) give different families for p != q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .dft import BasisPair, basis_projector, dft_pair
-from .exceptions import BadFactorization, IndexOutOfRange, WrongFamilyKind
+from .exceptions import BadDimension, BadFactorization, IndexOutOfRange, WrongFamilyKind
 
 
 class Factorization(NamedTuple):
@@ -50,6 +51,14 @@ class PureFamily:
     def member(self, m: int, s: int) -> FamilyMember:
         return self.members[m * self.q + s]
 
+    def labels(self) -> list[str]:
+        """``A[m]``, ``B[s]`` or ``<label>[m,s]`` per member, in member order."""
+        if self.label == "A":
+            return [f"A[{member.m}]" for member in self.members]
+        if self.label == "B":
+            return [f"B[{member.s}]" for member in self.members]
+        return [f"{self.label}[{member.m},{member.s}]" for member in self.members]
+
 
 @dataclass(frozen=True)
 class FamilyIdentityReport:
@@ -73,6 +82,18 @@ def factorizations(d: int) -> list[Factorization]:
     if d < 1:
         raise ValueError("dimension must be a positive integer")
     return [Factorization(p, d // p) for p in range(1, d + 1) if d % p == 0]
+
+
+def prime_pair(d: int) -> tuple[int, int] | None:
+    """(p, q) with p < q both prime and d = p*q, or None for any other d."""
+    nontrivial = [f for f in factorizations(d) if 1 < f.p < d]
+    if len(nontrivial) == 2 and all(_is_prime(v) for v in nontrivial[0]):
+        return nontrivial[0].p, nontrivial[0].q
+    return None
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
 
 
 def family_label(p: int, q: int) -> str:
@@ -128,19 +149,36 @@ def pure_kd_set(pair: BasisPair) -> list[PureFamily]:
     return [build_family(pair, p, q) for p, q in factorizations(pair.dim)]
 
 
+def lettered_families(pair: BasisPair, letters: str = "ABCD") -> dict[str, PureFamily]:
+    """The families named by ``letters``, in that order.
+
+    A is the a-basis (d,1) and B the b-basis (1,d). C = PSI(p,q) and
+    D = PHI(q,p), a transposed pair, exist only at d = pq with p < q prime;
+    asking for them at any other d raises BadDimension.
+    """
+    d = pair.dim
+    shapes = {"A": (d, 1), "B": (1, d)}
+    primes = prime_pair(d)
+    if primes is not None:
+        p, q = primes
+        shapes.update(C=(p, q), D=(q, p))
+    families = {}
+    for letter in letters:
+        if letter not in ("A", "B", "C", "D"):
+            raise ValueError(f"no family named {letter!r}; the letters are A, B, C, D")
+        if letter not in shapes:
+            raise BadDimension(f"no family named {letter!r} at d={d}: C and D need d = pq with p < q prime")
+        families[letter] = build_family(pair, *shapes[letter])
+    return families
+
+
 def all_projectors(families) -> tuple[list[np.ndarray], list[str]]:
     """Flatten families into parallel projector/label lists."""
     projectors: list[np.ndarray] = []
     labels: list[str] = []
     for fam in families:
-        for member in fam.members:
-            projectors.append(member.projector)
-            if fam.label == "A":
-                labels.append(f"A[{member.m}]")
-            elif fam.label == "B":
-                labels.append(f"B[{member.s}]")
-            else:
-                labels.append(f"{fam.label}[{member.m},{member.s}]")
+        projectors.extend(fam.projectors())
+        labels.extend(fam.labels())
     return projectors, labels
 
 

@@ -7,11 +7,12 @@ stacked coordinates equal Frobenius distances between matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import BasisPair
+from .dft import BasisPair, basis_projector
 from .engine import KDTable, classicality, kd_table
 from .exceptions import (
     BadDimension,
@@ -20,7 +21,7 @@ from .exceptions import (
     NotInSpan,
     NotUnitTrace,
 )
-from .families import build_family, factorizations
+from .families import PureFamily, build_family, lettered_families, prime_pair
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, require_hermitian
 from .solver import simplex_least_squares
 
@@ -66,15 +67,90 @@ class HullSystem:
 
     ``matrix`` has one stacked-real column per projector and ``gram`` is
     ``matrix.T @ matrix``; every query against the list shares both.
+
+    A system built from families also keeps their state vectors ``states``
+    (d x N, column k is psi_k) and ``weights``, the d x d table of 1/c(a, b)
+    with 0 where c = 0. Each family is an orthonormal basis whose diagonal
+    operators are spanned by the Weyl operators X^a Z^b with p | a and
+    q | b, so the frame operator S = sum_k |P_k><P_k| is diagonal in the
+    Weyl basis with eigenvalue c(a, b) = #{families (p, q) : p | a, q | b}.
+    That gives the distance of a state from the span and the min-norm
+    coefficients pinv(matrix) @ vec(rho) in closed form.
     """
 
     matrix: np.ndarray
     gram: np.ndarray
+    states: np.ndarray | None = None
+    weights: np.ndarray | None = None
+
+    def off_span_distance(self, coeffs: np.ndarray) -> float:
+        """Frobenius distance of rho from the span, from its Weyl coefficients."""
+        off = coeffs[self.weights == 0.0]
+        return float(np.sqrt(np.vdot(off, off).real / coeffs.shape[0]))
+
+    def min_norm_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
+        """x_k = Re <psi_k| S^+ rho |psi_k>, which equals pinv(matrix) @ vec(rho)."""
+        inverse = from_weyl(coeffs * self.weights)
+        return np.einsum("ik,ik->k", self.states.conj(), inverse @ self.states).real
 
 
-def hull_system(projectors) -> HullSystem:
-    mat = stack_real(projectors)
-    return HullSystem(matrix=mat, gram=mat.T @ mat)
+def hull_system(source) -> HullSystem:
+    """Stack a projector list, or the projectors of a list of families.
+
+    Only a system built from families carries the Weyl data of
+    :class:`HullSystem`.
+    """
+    if not (len(source) and isinstance(source[0], PureFamily)):
+        mat = stack_real(source)
+        return HullSystem(matrix=mat, gram=mat.T @ mat)
+    mat = stack_real([proj for fam in source for proj in fam.projectors()])
+    c = frame_multiplicities(source)
+    return HullSystem(
+        matrix=mat,
+        gram=mat.T @ mat,
+        states=np.array([member.vector for fam in source for member in fam.members]).T,
+        weights=np.divide(1.0, c, out=np.zeros(c.shape), where=c > 0),
+    )
+
+
+def frame_multiplicities(families) -> np.ndarray:
+    """c[a, b] = #{families (p, q) : p | a, q | b}, the frame operator's eigenvalue on X^a Z^b."""
+    idx = np.arange(families[0].dim)
+    return sum(np.outer(idx % fam.p == 0, idx % fam.q == 0).astype(int) for fam in families)
+
+
+def weyl_coefficients(rho: np.ndarray) -> np.ndarray:
+    """rho_hat[a, b] = tr((X^a Z^b)^dag rho), where X^a Z^b |j> = w^(bj) |j + a>.
+
+    Row a is the discrete Fourier transform over j of the cyclic diagonal
+    rho[(j + a) mod d, j].
+    """
+    diagonals, dft = _weyl_frame(rho.shape[0])
+    return rho.take(diagonals) @ dft
+
+
+def from_weyl(coeffs: np.ndarray) -> np.ndarray:
+    """The operator (1/d) sum_ab coeffs[a, b] X^a Z^b; inverts :func:`weyl_coefficients`."""
+    d = coeffs.shape[0]
+    diagonals, dft = _weyl_frame(d)
+    out = np.empty(d * d, dtype=np.complex128)
+    out[diagonals] = coeffs @ dft.conj() / d  # the DFT matrix is symmetric
+    return out.reshape(d, d)
+
+
+@functools.lru_cache(maxsize=4)
+def _weyl_frame(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index of rho[(j + a) mod d, j] at [a, j], and the DFT matrix w^(-jb).
+
+    A product with the d x d DFT matrix is faster than ``np.fft`` at the
+    dimensions probed here and keeps that module out of the process.
+    """
+    j = np.arange(d)
+    diagonals = (j + j[:, None]) % d * d + j
+    dft = np.exp(-2j * np.pi * (np.outer(j, j) % d) / d)
+    diagonals.setflags(write=False)
+    dft.setflags(write=False)
+    return diagonals, dft
 
 
 def stack_real(matrices) -> np.ndarray:
@@ -85,10 +161,7 @@ def stack_real(matrices) -> np.ndarray:
 
 
 def reconstruct(projectors, coefficients: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(np.asarray(projectors[0], dtype=np.complex128))
-    for c, p in zip(coefficients, projectors):
-        out += c * p
-    return out
+    return np.tensordot(coefficients, np.asarray(projectors, dtype=np.complex128), axes=1)
 
 
 def span_project(rho: np.ndarray, projectors) -> tuple[np.ndarray, float]:
@@ -172,23 +245,13 @@ def decompose_p2(
 
     family = build_family(pair, p, p)
     projectors = (
-        [_a_projector(d, i) for i in range(d)]
-        + [np.outer(pair.b_column(j), pair.b_column(j).conj()) for j in range(d)]
+        [basis_projector(pair, "a", i) for i in range(d)]
+        + [basis_projector(pair, "b", j) for j in range(d)]
         + family.projectors()
     )
-    labels = (
-        [f"A[{i}]" for i in range(d)]
-        + [f"B[{j}]" for j in range(d)]
-        + [f"{family.label}[{m},{s}]" for m in range(p) for s in range(p)]
-    )
+    labels = [f"A[{i}]" for i in range(d)] + [f"B[{j}]" for j in range(d)] + family.labels()
     coeffs = np.concatenate([lam, mu, gamma.reshape(-1)])
     return _certificate(rho, projectors, labels, coeffs, tol)
-
-
-def _a_projector(d: int, i: int) -> np.ndarray:
-    proj = np.zeros((d, d), dtype=np.complex128)
-    proj[i, i] = 1.0
-    return proj
 
 
 def _certificate(rho, projectors, labels, coeffs, tol: Tolerances) -> DecompositionCertificate:
@@ -201,14 +264,6 @@ def _certificate(rho, projectors, labels, coeffs, tol: Tolerances) -> Decomposit
         residual=residual,
         coefficient_sum=float(coeffs.sum()),
     )
-
-
-def _prime_pair(d: int) -> tuple[int, int]:
-    nontrivial = [f for f in factorizations(d) if 1 < f.p < d]
-    if len(nontrivial) != 2:
-        raise BadDimension(f"d={d} is not a product of two distinct primes")
-    p, q = nontrivial[0]
-    return p, q
 
 
 def decompose_pq_three(
@@ -226,28 +281,17 @@ def decompose_pq_three(
     least-squares solution.
     """
     d = pair.dim
-    p, q = _prime_pair(d)
+    primes = prime_pair(d)
+    if primes is None:
+        raise BadDimension(f"d={d} is not a product of two distinct primes")
+    p, q = primes
     chosen = tuple(sets)
     if len(chosen) != 3 or len(set(chosen)) != 3 or not set(chosen) <= {"A", "B", "C", "D"}:
         raise ValueError("sets must be three distinct labels among A, B, C, D")
 
-    fams = {
-        "A": build_family(pair, d, 1),
-        "B": build_family(pair, 1, d),
-        "C": build_family(pair, p, q),
-        "D": build_family(pair, q, p),
-    }
-    projectors: list[np.ndarray] = []
-    labels: list[str] = []
-    for name in chosen:
-        fam = fams[name]
-        projectors.extend(fam.projectors())
-        if name == "A":
-            labels.extend(f"A[{i}]" for i in range(d))
-        elif name == "B":
-            labels.extend(f"B[{j}]" for j in range(d))
-        else:
-            labels.extend(f"{fam.label}[{m},{s}]" for m in range(fam.p) for s in range(fam.q))
+    fams = lettered_families(pair, chosen)
+    projectors = [proj for name in chosen for proj in fams[name].projectors()]
+    labels = [label for name in chosen for label in fams[name].labels()]
 
     rho = require_hermitian(rho, INPUT_GATE_TOL)
     coeffs, span_residual = _span_coefficients(rho, projectors)
@@ -299,8 +343,10 @@ def hull_membership(
     """Distance minimization over convex combinations of the projector list.
 
     ``projectors`` is a list of projectors, or a :class:`HullSystem` built
-    from one with :func:`hull_system` when many states are tested against
-    the same list.
+    with :func:`hull_system` when many states are tested against the same
+    list. A system built from families hands the solver the min-norm
+    coefficients of a state within ``tol.recon`` of their span as its first
+    step; the solver keeps them when they are feasible and optimal.
     """
     a = require_hermitian(rho, INPUT_GATE_TOL)
     trace = complex(a.trace())
@@ -308,7 +354,12 @@ def hull_membership(
         raise NotUnitTrace(f"trace is {trace!r}, expected 1")
     system = projectors if isinstance(projectors, HullSystem) else hull_system(projectors)
     vec = stack_real([a]).reshape(-1)
-    coeffs, distance = simplex_least_squares(system.matrix, vec, gram=system.gram)
+    candidate = None
+    if system.states is not None:
+        weyl = weyl_coefficients(a)
+        if system.off_span_distance(weyl) <= tol.recon:
+            candidate = system.min_norm_coefficients(weyl)
+    coeffs, distance = simplex_least_squares(system.matrix, vec, gram=system.gram, candidate=candidate)
     member = distance <= tol.recon
     certificate = None
     if member:

@@ -13,15 +13,21 @@ then nu = (u.w - 1) / (u.u) and z = R^T (w - nu u), two products with R and
 no factorization. An entering column appends one row to R in O(k^2) for k
 free columns. A dropped column (about one per solve on the probe
 workloads, against up to 137 entering ones at d = 30) rebuilds R from a
-Cholesky factorization of the reduced free set. When a pivot is not safely positive (a column nearly in the span of
-the free ones) the factor is marked invalid until the next rebuild, and
-the step falls back to an LU solve of the bordered KKT matrix, and from
-there to the minimum-norm least-squares solution when LU finds it singular;
-that fallback is also taken when the factor gives a non-finite step.
-Termination is by the KKT optimality test, and the returned distance is
-recomputed from ``A x - b``, so it is optimal up to linear-algebra
-roundoff. Deterministic for a fixed column order; re-entrant (no shared
-state). numpy only.
+Cholesky factorization of the reduced free set. When a pivot is not
+safely positive (a column nearly in the span of the free ones) the factor
+is marked invalid until the next rebuild, and the step falls back to an LU
+solve of the bordered KKT matrix, and from there to the minimum-norm
+least-squares solution when LU finds it singular; that fallback is also
+taken when the factor gives a non-finite step. Termination is by the KKT
+optimality test, and the returned distance is recomputed from ``A x - b``,
+so it is optimal up to linear-algebra roundoff.
+
+A caller that knows pinv(A) b in closed form (the Weyl min-norm step of a
+family-built :class:`~kdclassical.geometry.HullSystem`) passes it as
+``candidate``; it is the first KKT step, with every column free and
+nu = 0, and ends the solve when it passes the KKT test. Otherwise the
+active set runs from the best vertex, unchanged. Deterministic for a fixed
+column order; re-entrant (no shared state). numpy only.
 """
 
 from __future__ import annotations
@@ -40,12 +46,24 @@ _PIVOT_TOL = 1e-10
 
 
 def simplex_least_squares(
-    a: np.ndarray, b: np.ndarray, max_iter: int | None = None, gram: np.ndarray | None = None
+    a: np.ndarray,
+    b: np.ndarray,
+    max_iter: int | None = None,
+    gram: np.ndarray | None = None,
+    candidate: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Return (x, distance) for the simplex-constrained least-squares problem.
 
     ``gram`` is ``a.T @ a`` when the caller already holds it, as it does when
     many right-hand sides share one ``a``; it is computed here otherwise.
+
+    ``candidate`` is the caller's min-norm least-squares solution over all
+    columns, pinv(a) @ b, when it has one in closed form. It is the first
+    KKT step, with every column free and nu = 0, and it is returned when it
+    is finite, feasible (entries >= -_FEAS_TOL, sum 1) and stationary on
+    every column: then A x is the projection of b onto the span of the
+    columns, so no point of the simplex is closer. Otherwise the active set
+    starts from the best vertex as usual.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -58,6 +76,12 @@ def simplex_least_squares(
     if gram is None:
         gram = a.T @ a
     h = a.T @ b
+
+    if candidate is not None:
+        z, nu = _solve_free(gram, h, np.arange(n), candidate=candidate)
+        if _feasible_and_stationary(gram, h, z, nu):
+            x = np.maximum(z, 0.0)
+            return x, float(np.linalg.norm(a @ x - b))
 
     # Best single vertex is a feasible start.
     start = int(np.argmin(gram.diagonal() - 2.0 * h))
@@ -101,6 +125,14 @@ def simplex_least_squares(
         factor.append(entering)
 
     raise SolverDidNotConverge(f"no optimality certificate after {max_iter} iterations")
+
+
+def _feasible_and_stationary(gram: np.ndarray, h: np.ndarray, z: np.ndarray, nu: float) -> bool:
+    """The KKT test of a step with every column free: z feasible, grad + nu = 0 everywhere."""
+    if not (np.isfinite(z).all() and z.min() >= -_FEAS_TOL and abs(z.sum() - 1.0) <= _FEAS_TOL * z.size):
+        return False
+    grad = gram @ z - h
+    return float(np.abs(grad + nu).max()) <= _DUAL_TOL * max(1.0, float(np.abs(grad).max()))
 
 
 class _FreeSetFactor:
@@ -174,14 +206,23 @@ class _FreeSetFactor:
 
 
 def _solve_free(
-    gram: np.ndarray, h: np.ndarray, free, factor: _FreeSetFactor | None = None
+    gram: np.ndarray,
+    h: np.ndarray,
+    free,
+    factor: _FreeSetFactor | None = None,
+    candidate: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Equality-constrained minimizer on the free set via the KKT system.
 
-    ``factor`` is the solver's factor of this free set; when it is valid and
-    gives a finite step, that step is returned. Otherwise the bordered KKT
-    matrix is solved by LU, and by least squares when LU fails.
+    ``candidate``, given with every column free, is the caller's closed-form
+    min-norm solution and is the step as it stands, with nu = 0; the solver
+    checks it before using it. ``factor`` is the solver's factor of this
+    free set; when it is valid and gives a finite step, that step is
+    returned. Otherwise the bordered KKT matrix is solved by LU, and by
+    least squares when LU fails.
     """
+    if candidate is not None:
+        return np.asarray(candidate, dtype=float), 0.0
     if factor is not None and factor.valid and factor.k == len(free):
         z, nu = factor.solve()
         if np.isfinite(z).all() and np.isfinite(nu):

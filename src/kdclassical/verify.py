@@ -18,9 +18,9 @@ import numpy as np
 
 from .dft import dft_pair
 from .engine import classicality, is_kd_real, kd_table, support_counts
-from .families import all_projectors, factorizations, family_identity_sums, pure_kd_set
-from .geometry import decompose_p2, decompose_pq_three, hull_membership, hull_system, quadruple_conditions_p2
-from .harness import SampleConfig, perturbation_basis, probe_conjecture, sample_kd_boundary
+from .families import all_projectors, family_identity_sums, lettered_families, prime_pair, pure_kd_set
+from .geometry import decompose_p2, decompose_pq_three, hull_membership, quadruple_conditions_p2
+from .harness import SampleConfig, probe_conjecture, probe_invariants, sample_kd_boundary
 from .kdreal import b_side_condition, entry_partition, kd_real_basis, kd_real_condition, kd_real_dimension
 from .linalg import DEFAULT_TOL, real_span_rank
 
@@ -46,26 +46,6 @@ class CheckResult:
         object.__setattr__(self, "passed", bool(self.passed))
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % k for k in range(2, int(math.isqrt(n)) + 1))
-
-
-def _families_by_label(pair):
-    fams = {}
-    for fam in pure_kd_set(pair):
-        if fam.label == "A":
-            fams["A"] = fam
-        elif fam.label == "B":
-            fams["B"] = fam
-        elif fam.label.startswith("PSI"):
-            fams["C"] = fam
-        else:
-            fams["D"] = fam
-    return fams
-
-
 def check_rank_pins(d: int) -> CheckResult | None:
     """Span ranks of the family unions against the closed-form counts."""
     pair = dft_pair(d)
@@ -78,7 +58,7 @@ def check_rank_pins(d: int) -> CheckResult | None:
             detail=f"rank {rank}, expected {want}",
         )
     if d in PQ_RANKS:
-        fams = _families_by_label(pair)
+        fams = lettered_families(pair)
         want_all, want_three = PQ_RANKS[d]
         rank_all = real_span_rank([p for f in fams.values() for p in f.projectors()])
         ok = rank_all == want_all
@@ -286,9 +266,8 @@ def check_p2_roundtrip(d: int, n: int = 500) -> CheckResult:
     p = math.isqrt(d)
     if p * p != d:
         raise ValueError(f"d={d} is not a perfect square")
-    pair = dft_pair(d)
-    system = hull_system(all_projectors(pure_kd_set(pair))[0])
-    basis = perturbation_basis(kd_real_basis(d), pair)
+    shared = probe_invariants(d, True)
+    pair, system, basis = shared.pair, shared.system, shared.directions
     config = SampleConfig(d=d, seed=ROUNDTRIP_SEED, n_samples=n, mode="perturb")
     failures = []
     not_member = 0
@@ -343,7 +322,7 @@ def check_identity_resolutions(d: int) -> CheckResult | None:
 def check_pq_three_decomposition(d: int, n: int = 200, sets=("B", "C", "D")) -> CheckResult:
     """Hull points of three families reconstructed by the fold construction."""
     pair = dft_pair(d)
-    fams = _families_by_label(pair)
+    fams = lettered_families(pair, sets)
     projectors = [p for name in sets for p in fams[name].projectors()]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=PQ3_SEED, spawn_key=(d,)))
     failures = 0
@@ -413,8 +392,7 @@ def run_dimension_suite(d: int) -> list[CheckResult]:
     maybe = check_identity_resolutions(d)
     if maybe is not None:
         results.append(maybe)
-    nontrivial = [f for f in factorizations(d) if 1 < f.p < d]
-    if len(nontrivial) == 2 and all(_is_prime(v) for v in nontrivial[0]):
+    if prime_pair(d) is not None:
         results.append(check_pq_three_decomposition(d, n=200 if d == 6 else 50))
         results.append(check_probe(d, n_perturb=500 if d == 6 else 100, n_hull=100))
     return results

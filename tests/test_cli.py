@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import kdclassical
 from kdclassical import dft_pair, matrix_from_json, matrix_to_json, pure_kd_set
 from kdclassical.cli import run
 from kdclassical.families import all_projectors
@@ -297,3 +299,35 @@ def test_probe_output_stays_strict_json_when_solves_fail(tmp_path, capsys, monke
     assert run(args + ["--out", str(tmp_path), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out, parse_constant=no_constants)
     assert doc["worst_margin"] == 0.0 and doc["solver_failures"] == 4
+
+
+def test_span_rank_family_letters_at_d12(capsys):
+    # d = 12 is not a product of two distinct primes, so C and D are undefined
+    # there; A and B still are.
+    assert run(["span-rank", "--d", "12", "--sets", "CD"]) == 2
+    assert "no family named 'C' at d=12" in capsys.readouterr().err
+    assert run(["span-rank", "--d", "12", "--sets", "D"]) == 2
+    capsys.readouterr()
+    assert run(["span-rank", "--d", "12", "--sets", "AB", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 23
+    assert run(["span-rank", "--d", "6", "--sets", "CE"]) == 2
+
+
+def test_probe_beyond_physical_memory_exits_2_at_once():
+    # d = 2520 has N = 120,960 family projectors, terabytes of invariants.
+    # The child's address space is capped, so a missing guard fails with a
+    # MemoryError instead of filling the machine.
+    child = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from kdclassical.cli import run\n"
+        "start = time.perf_counter()\n"
+        "code = run(['probe', '--d', '2520', '--mode', 'perturb', '--samples', '1', '--seed', '1'])\n"
+        "print(code, time.perf_counter() - start)\n"
+    )
+    src = os.path.dirname(os.path.dirname(kdclassical.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    code, seconds = done.stdout.split()
+    assert int(code) == 2 and float(seconds) < 1.0
+    assert "d=2520 needs about" in done.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kdclassical import (
+    BadDimension,
     BadFactorization,
     IndexOutOfRange,
     WrongFamilyKind,
@@ -19,6 +20,7 @@ from kdclassical import (
     pure_kd_set,
     support_counts,
 )
+from kdclassical.families import lettered_families, prime_pair
 
 
 def test_factorizations():
@@ -166,3 +168,34 @@ def test_classicality_of_families_matches_engine():
     for fam in pure_kd_set(pair):
         for member in fam.members:
             assert classicality(kd_table(member.projector, pair)).classical
+
+
+def test_prime_pair_only_for_two_distinct_primes():
+    assert prime_pair(6) == (2, 3) and prime_pair(15) == (3, 5) and prime_pair(35) == (5, 7)
+    for d in (1, 2, 4, 5, 8, 9, 12, 18, 27, 30):
+        assert prime_pair(d) is None
+
+
+def test_lettered_families_name_a_transposed_pair():
+    pair = dft_pair(6)
+    fams = lettered_families(pair)
+    assert list(fams) == ["A", "B", "C", "D"]
+    assert [(f.p, f.q) for f in fams.values()] == [(6, 1), (1, 6), (2, 3), (3, 2)]
+    assert [f.label for f in fams.values()] == ["A", "B", "PSI(2,3)", "PHI(3,2)"]
+    assert list(lettered_families(dft_pair(15), "DB")) == ["D", "B"]
+    assert lettered_families(dft_pair(15), "D")["D"].label == "PHI(5,3)"
+    for d in (5, 8, 12):
+        assert set(lettered_families(dft_pair(d), "AB")) == {"A", "B"}
+        with pytest.raises(BadDimension):
+            lettered_families(dft_pair(d), "C")
+        with pytest.raises(BadDimension):
+            lettered_families(dft_pair(d), "D")
+    with pytest.raises(ValueError):
+        lettered_families(pair, "E")
+
+
+def test_family_labels_follow_the_member_order():
+    pair = dft_pair(6)
+    assert build_family(pair, 6, 1).labels()[:2] == ["A[0]", "A[1]"]
+    assert build_family(pair, 1, 6).labels()[:2] == ["B[0]", "B[1]"]
+    assert build_family(pair, 2, 3).labels()[:4] == ["PSI(2,3)[0,0]", "PSI(2,3)[0,1]", "PSI(2,3)[0,2]", "PSI(2,3)[1,0]"]

@@ -438,3 +438,26 @@ def test_solver_iteration_cap():
 
     with pytest.raises(SolverDidNotConverge):
         simplex_least_squares(a, b, max_iter=0)
+
+
+def test_reconstruct_matches_the_sum_of_weighted_projectors():
+    from kdclassical.geometry import reconstruct
+
+    projs, _ = all_projectors(pure_kd_set(dft_pair(9)))
+    coeffs = np.random.default_rng(8).standard_normal(len(projs))
+    expected = np.zeros((9, 9), dtype=complex)
+    for c, p in zip(coeffs, projs):
+        expected += c * p
+    assert np.abs(reconstruct(projs, coeffs) - expected).max() <= 1e-14
+
+
+def test_decompose_p2_certificate_labels():
+    cert = decompose_p2(np.eye(4) / 4, dft_pair(4), 2)
+    assert cert.labels[:5] == ("A[0]", "A[1]", "A[2]", "A[3]", "B[0]")
+    assert cert.labels[8:] == ("PSI(2,2)[0,0]", "PSI(2,2)[0,1]", "PSI(2,2)[1,0]", "PSI(2,2)[1,1]")
+
+
+def test_pq_three_needs_two_distinct_primes():
+    # d = 8 has two nontrivial factorizations, (2,4) and (4,2), but 4 is not prime.
+    with pytest.raises(BadDimension):
+        decompose_pq_three(np.eye(8) / 8, dft_pair(8))
