@@ -8,17 +8,16 @@ semidefinite and entrywise nonnegative), and Ginibre density matrices.
 The probe classifies samples by classicality and hull membership and
 archives candidate counterexamples with full seed provenance.
 
-Everything a probe call shares across its samples is built once per
-process for the latest dimension (:func:`probe_invariants`): the basis
-pair, the family projectors, their family-built
-:class:`~kdclassical.geometry.HullSystem` and, in perturb mode, the
-traceless direction basis (:class:`PerturbationBasis`). Per sample only the
-draw, its table and its hull solve remain.
+Everything a probe call shares across its samples is built once per call:
+the basis pair, the family-built hull system
+(:class:`~kdclassical.geometry.HullSystem`), the projectors in hull mode
+and, in perturb mode, the traceless direction basis
+(:class:`PerturbationBasis`). Per sample only the draw, its table and its
+hull solve remain.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -32,7 +31,7 @@ from .dft import BasisPair, dft_pair
 from .engine import classicality, kd_table
 from .exceptions import BadDimension, SolverDidNotConverge, TooLarge, ZeroDirection
 from .families import all_projectors, factorizations, pure_kd_set
-from .geometry import HullSystem, hull_membership, hull_system, stack_real
+from .geometry import hull_membership, hull_system, stack_real
 from .kdreal import kd_real_basis, kd_real_condition
 from .linalg import Tolerances, matrix_to_json
 
@@ -169,52 +168,24 @@ def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndar
     return perturbation_state(f, x, d)
 
 
-@dataclass(frozen=True)
-class ProbeInvariants:
-    """What every probe call at one dimension shares; all arrays are read-only."""
-
-    pair: BasisPair
-    directions: PerturbationBasis | None
-    projectors: tuple[np.ndarray, ...]
-    system: HullSystem
-
-
-@functools.lru_cache(maxsize=1)
-def probe_invariants(d: int, perturb: bool) -> ProbeInvariants:
-    """Build, once per process for the latest (d, perturb), what probes share.
-
-    The direction basis is built only when ``perturb`` is set, and before
-    the stacked projectors, so that its SVD workspace is freed before they
-    are allocated. Raises TooLarge, before allocating, when the estimate of
-    :func:`invariant_bytes` exceeds the machine's physical memory.
-    """
-    need, have = invariant_bytes(d, perturb), _physical_memory()
-    if have is not None and need > have:
-        raise TooLarge(f"a probe at d={d} needs about {need / 2**30:.1f} GiB, the machine has {have / 2**30:.1f} GiB")
-    pair = dft_pair(d)
-    directions = perturbation_basis(kd_real_basis(d), pair) if perturb else None
-    families = pure_kd_set(pair)
-    projectors, _ = all_projectors(families)
-    system = hull_system(families)
-    shared = [*projectors, system.matrix, system.gram, system.states, system.weights]
-    if directions is not None:
-        shared.append(directions.directions)
-    for array in shared:
-        array.setflags(write=False)
-    return ProbeInvariants(pair=pair, directions=directions, projectors=tuple(projectors), system=system)
-
-
-def invariant_bytes(d: int, perturb: bool) -> int:
-    """Estimated bytes of :func:`probe_invariants` at dimension d, computed without building them.
+def setup_bytes(d: int, perturb: bool) -> int:
+    """Estimated peak bytes of a probe call's set-up at dimension d, computed without building it.
 
     N = d tau(d) dense projectors (N d^2 complex), the stacked matrix and its
-    ``vstack`` copy (2 x 2d^2 x N reals), the N x N Gram and, in perturb
-    mode, the 2d^2 x r direction basis, r = d - 1 + sum_k gcd(k, d) being
-    the traceless part of the real-table space.
+    ``vstack`` copy (2 x 2d^2 x N reals), both alive with the projectors
+    inside ``stack_real``, the N x N Gram and, in perturb mode, the 2d^2 x r
+    direction basis, r = d - 1 + sum_k gcd(k, d) being the traceless part of
+    the real-table space.
     """
     n = d * len(factorizations(d))
     rank = d - 1 + sum(math.gcd(k, d) for k in range(1, d)) if perturb else 0
     return n * d * d * 16 + 2 * 2 * d * d * n * 8 + n * n * 8 + 2 * d * d * rank * 8
+
+
+def _require_memory(d: int, perturb: bool) -> None:
+    need, have = setup_bytes(d, perturb), _physical_memory()
+    if have is not None and need > have:
+        raise TooLarge(f"a probe at d={d} needs about {need / 2**30:.1f} GiB, the machine has {have / 2**30:.1f} GiB")
 
 
 def _physical_memory() -> int | None:
@@ -237,17 +208,26 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
     ten times the reconstruction tolerance is archived (when out_dir is
     given) together with a manifest carrying its full provenance. Samples
     are independent given their per-index derived seeds, so the tallies are
-    order-independent. The basis pair, the projectors, their hull system
-    and the perturbation directions come from :func:`probe_invariants`;
-    per sample only the draw, its table and its hull solve remain.
+    order-independent. The basis pair, the family-built hull system and
+    the perturbation directions are built once per call, after a memory
+    estimate (:func:`setup_bytes`) that raises TooLarge when it exceeds the
+    machine's physical memory; per sample only the draw, its table and its
+    hull solve remain.
     solver_failures counts every sample whose hull solve did not converge,
     non-classical ones included; a classical sample among them is counted
     as classical_not_member, never archived, and left out of worst_margin,
     which is the largest distance among solved classical non-members.
     """
     tol = config.tolerances
-    shared = probe_invariants(config.d, config.mode == "perturb")
-    pair, directions, projectors, system = shared.pair, shared.directions, shared.projectors, shared.system
+    perturb = config.mode == "perturb"
+    _require_memory(config.d, perturb)
+    pair = dft_pair(config.d)
+    # The direction basis is built before the stacked projectors, so that
+    # its SVD workspace is freed before they are allocated.
+    directions = perturbation_basis(kd_real_basis(config.d), pair) if perturb else None
+    families = pure_kd_set(pair)
+    system = hull_system(families)
+    projectors = all_projectors(families)[0] if config.mode == "hull" else None
 
     counts = {"classical_and_member": 0, "classical_not_member": 0, "not_classical": 0}
     worst_margin = 0.0

@@ -19,8 +19,8 @@ import numpy as np
 from .dft import dft_pair
 from .engine import classicality, is_kd_real, kd_table, support_counts
 from .families import all_projectors, family_identity_sums, lettered_families, prime_pair, pure_kd_set
-from .geometry import decompose_p2, decompose_pq_three, hull_membership, quadruple_conditions_p2
-from .harness import SampleConfig, probe_conjecture, probe_invariants, sample_kd_boundary
+from .geometry import decompose_p2, decompose_pq_three, hull_membership, hull_system, quadruple_conditions_p2
+from .harness import SampleConfig, perturbation_basis, probe_conjecture, sample_kd_boundary
 from .kdreal import b_side_condition, entry_partition, kd_real_basis, kd_real_condition, kd_real_dimension
 from .linalg import DEFAULT_TOL, real_span_rank
 
@@ -266,8 +266,9 @@ def check_p2_roundtrip(d: int, n: int = 500) -> CheckResult:
     p = math.isqrt(d)
     if p * p != d:
         raise ValueError(f"d={d} is not a perfect square")
-    shared = probe_invariants(d, True)
-    pair, system, basis = shared.pair, shared.system, shared.directions
+    pair = dft_pair(d)
+    system = hull_system(pure_kd_set(pair))
+    basis = perturbation_basis(kd_real_basis(d), pair)
     config = SampleConfig(d=d, seed=ROUNDTRIP_SEED, n_samples=n, mode="perturb")
     failures = []
     not_member = 0

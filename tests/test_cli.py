@@ -314,7 +314,7 @@ def test_span_rank_family_letters_at_d12(capsys):
 
 
 def test_probe_beyond_physical_memory_exits_2_at_once():
-    # d = 2520 has N = 120,960 family projectors, terabytes of invariants.
+    # d = 2520 has N = 120,960 family projectors, terabytes of set-up arrays.
     # The child's address space is capped, so a missing guard fails with a
     # MemoryError instead of filling the machine.
     child = (

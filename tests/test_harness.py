@@ -26,7 +26,8 @@ from kdclassical import (
     sample_kd_boundary,
 )
 from kdclassical.families import all_projectors
-from kdclassical.harness import invariant_bytes, perturbation_basis, probe_invariants
+from kdclassical.geometry import hull_system
+from kdclassical.harness import perturbation_basis, setup_bytes
 
 
 def test_sample_config_validation():
@@ -233,70 +234,28 @@ def test_failed_solves_stay_out_of_worst_margin(tmp_path, monkeypatch):
     json.dumps(report.to_json(), allow_nan=False)
 
 
-def test_probe_invariants_are_cached_read_only_and_rebuilt_for_a_new_dimension():
-    probe_invariants.cache_clear()
-    first = probe_invariants(6, True)
-    assert probe_invariants(6, True) is first
-    system = first.system
-    arrays = [first.pair.transition, first.directions.directions, *first.projectors]
-    arrays += [system.matrix, system.gram, system.states, system.weights]
-    assert isinstance(first.projectors, tuple)
-    assert not any(array.flags.writeable for array in arrays)
-    with pytest.raises(ValueError):
-        system.gram[0, 0] = 0.0
-    other = probe_invariants(4, True)
-    assert other is not first and other.pair.dim == 4
-    rebuilt = probe_invariants(6, True)
-    assert rebuilt is not first
-    assert np.array_equal(rebuilt.system.gram, first.system.gram)
-    assert probe_invariants(6, False).directions is None
-
-
-@pytest.mark.parametrize("d, indices", [(6, range(12)), (30, range(3))])
-def test_cached_direction_basis_draws_identical_states(d, indices):
-    probe_invariants.cache_clear()
-    config = SampleConfig(d=d, seed=12721, n_samples=1, mode="perturb")
-    cached = probe_invariants(d, True).directions
-    basis = kd_real_basis(d)
-    for index in indices:
-        assert np.array_equal(
-            sample_kd_boundary(config, cached, index=index),
-            sample_kd_boundary(config, basis, index=index),
-        )
-
-
-def test_probe_calls_share_one_build(monkeypatch):
-    import kdclassical.harness as harness_module
-
-    probe_invariants.cache_clear()
-    builds = []
-    original = harness_module.pure_kd_set
-    monkeypatch.setattr(harness_module, "pure_kd_set", lambda pair: builds.append(pair.dim) or original(pair))
-    config = SampleConfig(d=6, seed=11, n_samples=5, mode="perturb")
-    assert probe_conjecture(config).counts == probe_conjecture(config).counts
-    assert builds == [6]
-
-
 @pytest.mark.parametrize("d", [2, 6, 9, 12, 30])
-def test_invariant_estimate_covers_the_built_arrays(d):
-    probe_invariants.cache_clear()
-    shared = probe_invariants(d, True)
-    rank = shared.directions.directions.shape[1]
+def test_setup_estimate_covers_the_built_arrays(d):
+    pair = dft_pair(d)
+    directions = perturbation_basis(kd_real_basis(d), pair).directions
+    families = pure_kd_set(pair)
+    projectors, _ = all_projectors(families)
+    system = hull_system(families)
+    rank = directions.shape[1]
     assert rank == kd_real_dimension(d) - 1
-    assert invariant_bytes(d, True) - invariant_bytes(d, False) == 2 * d * d * rank * 8
+    assert setup_bytes(d, True) - setup_bytes(d, False) == directions.nbytes
     # The stacked matrix counts twice: ``stack_real`` holds it and its ``vstack`` copy at once.
-    built = sum(p.nbytes for p in shared.projectors) + 2 * shared.system.matrix.nbytes + shared.system.gram.nbytes
-    assert invariant_bytes(d, True) == built + shared.directions.directions.nbytes
+    built = sum(p.nbytes for p in projectors) + 2 * system.matrix.nbytes + system.gram.nbytes
+    assert setup_bytes(d, False) == built
 
 
 def test_probe_refuses_a_dimension_beyond_physical_memory(monkeypatch):
     import kdclassical.harness as harness_module
 
-    probe_invariants.cache_clear()
-    monkeypatch.setattr(harness_module, "_physical_memory", lambda: invariant_bytes(6, False) - 1)
+    monkeypatch.setattr(harness_module, "_physical_memory", lambda: setup_bytes(6, False) - 1)
     with pytest.raises(TooLarge):
         probe_conjecture(SampleConfig(d=6, seed=1, n_samples=1, mode="hull"))
-    monkeypatch.setattr(harness_module, "_physical_memory", lambda: invariant_bytes(6, False))
+    monkeypatch.setattr(harness_module, "_physical_memory", lambda: setup_bytes(6, False))
     assert sum(probe_conjecture(SampleConfig(d=6, seed=1, n_samples=2, mode="hull")).counts.values()) == 2
     monkeypatch.undo()
-    assert invariant_bytes(30, True) < harness_module._physical_memory()
+    assert setup_bytes(30, True) < harness_module._physical_memory()
