@@ -25,7 +25,7 @@ from .engine import classicality, kd_table
 from .exceptions import SolverDidNotConverge, ValidationError
 from .families import all_projectors, lettered_families, pure_kd_set
 from .geometry import decompose_p2, decompose_pq_three, hull_membership
-from .harness import MODES, SampleConfig, probe_conjecture
+from .harness import MODES, SampleConfig, probe_conjecture, require_memory
 from .kdreal import entry_partition, kd_real_dimension, render_partition
 from .linalg import Tolerances, matrix_from_json, matrix_to_json, real_span_rank
 from .verify import run_dimension_suite
@@ -183,6 +183,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_pure(args) -> int:
+    require_memory(args.d, "pure")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -226,12 +227,12 @@ def _cmd_real_dim(args) -> int:
 
 
 def _cmd_span_rank(args) -> int:
+    chosen = "all" if args.sets is None else args.sets.upper()
+    require_memory(args.d, "span-rank", families=None if args.sets is None else len(set(chosen)))
     pair = dft_pair(args.d)
     if args.sets is None:
         projectors = all_projectors(pure_kd_set(pair))[0]
-        chosen = "all"
     else:
-        chosen = args.sets.upper()
         projectors = [p for fam in lettered_families(pair, chosen).values() for p in fam.projectors()]
     rank = real_span_rank(projectors)
     if args.json:
@@ -268,6 +269,7 @@ def _cmd_member(args) -> int:
     d = rho.shape[0]
     if args.d is not None and args.d != d:
         raise ValidationError(f"state has dimension {d}, --d says {args.d}")
+    require_memory(d, "member")
     projectors, labels = all_projectors(pure_kd_set(dft_pair(d)))
     verdict = hull_membership(rho, projectors, default_tolerances(), labels=labels)
     print(json.dumps(verdict.to_json()))

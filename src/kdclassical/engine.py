@@ -105,9 +105,7 @@ def support_counts(psi: np.ndarray, pair: BasisPair, tol: float = SUPPORT_TOL) -
     return n_a, n_b
 
 
-def pure_classicality_criterion(
-    psi: np.ndarray, pair: BasisPair, tol: Tolerances = DEFAULT_TOL
-) -> bool:
+def pure_classicality_criterion(psi: np.ndarray, pair: BasisPair) -> bool:
     """Product criterion for pure states: n_a * n_b == d."""
     n_a, n_b = support_counts(psi, pair)
     return n_a * n_b == pair.dim

@@ -48,16 +48,16 @@ class PureFamily:
     def projectors(self) -> list[np.ndarray]:
         return [member.projector for member in self.members]
 
+    def vectors(self) -> np.ndarray:
+        """The members' state vectors as the columns of a d x pq matrix, in member order."""
+        return np.array([member.vector for member in self.members]).T
+
     def member(self, m: int, s: int) -> FamilyMember:
         return self.members[m * self.q + s]
 
     def labels(self) -> list[str]:
-        """``A[m]``, ``B[s]`` or ``<label>[m,s]`` per member, in member order."""
-        if self.label == "A":
-            return [f"A[{member.m}]" for member in self.members]
-        if self.label == "B":
-            return [f"B[{member.s}]" for member in self.members]
-        return [f"{self.label}[{member.m},{member.s}]" for member in self.members]
+        """See :func:`member_labels`."""
+        return member_labels(self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,16 @@ def family_label(p: int, q: int) -> str:
     return f"PSI({p},{q})" if p <= q else f"PHI({p},{q})"
 
 
+def member_labels(p: int, q: int) -> list[str]:
+    """``A[m]``, ``B[s]`` or ``<label>[m,s]`` per member of the (p, q) family, in member order."""
+    label = family_label(p, q)
+    if label == "A":
+        return [f"A[{m}]" for m in range(p)]
+    if label == "B":
+        return [f"B[{s}]" for s in range(q)]
+    return [f"{label}[{m},{s}]" for m in range(p) for s in range(q)]
+
+
 def psi_state(pair: BasisPair, p: int, q: int, m: int, s: int) -> np.ndarray:
     """The a-basis expression of the (m, s) member of the (p, q) family."""
     d = pair.dim
@@ -132,16 +142,30 @@ def psi_state_b_form(pair: BasisPair, p: int, q: int, m: int, s: int) -> np.ndar
     return phase * v / np.sqrt(p)
 
 
+def family_states(d: int, p: int, q: int) -> np.ndarray:
+    """All members of the (p, q) family at once: column m*q + s is ``psi_state(pair, p, q, m, s)``.
+
+    The phases are evaluated by the same expression as in :func:`psi_state`,
+    elementwise, so the columns are bit-identical to it.
+    """
+    if p < 1 or q < 1 or p * q != d:
+        raise BadFactorization(f"({p},{q}) is not a factorization of {d}")
+    k = np.arange(q)
+    phases = np.exp(2j * np.pi * (np.outer(k, k) % q) / q) / np.sqrt(q)  # [s, k]
+    m = np.arange(p)
+    states = np.zeros((p, q, q, p), dtype=np.complex128)  # [m, s, k, i mod p]: entry i = k*p + m
+    states[m, :, :, m] = phases
+    return states.reshape(p * q, d).T
+
+
 def build_family(pair: BasisPair, p: int, q: int) -> PureFamily:
-    members = []
-    for m in range(p):
-        for s in range(q):
-            v = psi_state(pair, p, q, m, s)
-            proj = np.outer(v, v.conj())
-            members.append(FamilyMember(m=m, s=s, vector=v, projector=proj))
-    return PureFamily(
-        label=family_label(p, q), dim=pair.dim, p=p, q=q, members=tuple(members)
+    rows = family_states(pair.dim, p, q).T
+    # One broadcast product, elementwise the same as np.outer(v, v.conj()).
+    projectors = rows[:, :, None] * rows.conj()[:, None, :]
+    members = tuple(
+        FamilyMember(m=k // q, s=k % q, vector=rows[k], projector=projectors[k]) for k in range(p * q)
     )
+    return PureFamily(label=family_label(p, q), dim=pair.dim, p=p, q=q, members=members)
 
 
 def pure_kd_set(pair: BasisPair) -> list[PureFamily]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dft import BasisPair, basis_projector
+from .dft import BasisPair
 from .engine import KDTable, classicality, kd_table
 from .exceptions import (
     BadDimension,
@@ -21,12 +21,19 @@ from .exceptions import (
     NotInSpan,
     NotUnitTrace,
 )
-from .families import PureFamily, build_family, lettered_families, prime_pair
+from .families import PureFamily, family_states, lettered_families, member_labels, prime_pair
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, require_hermitian
 from .solver import simplex_least_squares
 
 # Input gates are fixed; the Tolerances fields govern verdict acceptance.
 INPUT_GATE_TOL = 1e-9
+
+# Gram eigenvalues at or below this fraction of the largest are taken as zero
+# in ``HullSystem.pinv_gram``. For the family lists the nonzero spectrum lies
+# in [1, tau(d)] and the zero eigenvalues come out at 5e-15 or less, so the
+# cutoff sits in a wide gap. A dropped eigenvalue that was not zero only
+# makes the min-norm step fail its stationarity check.
+PINV_CUTOFF = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,12 +83,17 @@ class HullSystem:
     Weyl basis with eigenvalue c(a, b) = #{families (p, q) : p | a, q | b}.
     That gives the distance of a state from the span and the min-norm
     coefficients pinv(matrix) @ vec(rho) in closed form.
+
+    A system built from a plain projector list keeps ``pinv_gram``, the
+    pseudo-inverse of ``gram`` (see :data:`PINV_CUTOFF`), instead; then
+    pinv(matrix) @ vec(rho) = pinv_gram @ (matrix.T @ vec(rho)).
     """
 
     matrix: np.ndarray
     gram: np.ndarray
     states: np.ndarray | None = None
     weights: np.ndarray | None = None
+    pinv_gram: np.ndarray | None = None
 
     def off_span_distance(self, coeffs: np.ndarray) -> float:
         """Frobenius distance of rho from the span, from its Weyl coefficients."""
@@ -97,18 +109,25 @@ class HullSystem:
 def hull_system(source) -> HullSystem:
     """Stack a projector list, or the projectors of a list of families.
 
-    Only a system built from families carries the Weyl data of
-    :class:`HullSystem`.
+    A system built from families carries the Weyl data of
+    :class:`HullSystem`, and one built from a projector list its
+    ``pinv_gram``, from one eigendecomposition of the Gram.
     """
-    if not (len(source) and isinstance(source[0], PureFamily)):
+    if not len(source):
+        raise ValueError("need at least one projector")
+    if not isinstance(source[0], PureFamily):
         mat = stack_real(source)
-        return HullSystem(matrix=mat, gram=mat.T @ mat)
+        gram = mat.T @ mat
+        eig, vecs = np.linalg.eigh(gram)
+        keep = eig > PINV_CUTOFF * eig[-1]
+        kept = vecs[:, keep]
+        return HullSystem(matrix=mat, gram=gram, pinv_gram=(kept / eig[keep]) @ kept.T)
     mat = stack_real([proj for fam in source for proj in fam.projectors()])
     c = frame_multiplicities(source)
     return HullSystem(
         matrix=mat,
         gram=mat.T @ mat,
-        states=np.array([member.vector for fam in source for member in fam.members]).T,
+        states=np.hstack([fam.vectors() for fam in source]),
         weights=np.divide(1.0, c, out=np.zeros(c.shape), where=c > 0),
     )
 
@@ -243,21 +262,17 @@ def decompose_p2(
     mu = col_sums - col_sums[col_rep[np.arange(d) % p]]
     gamma = d * q[np.ix_(row_rep, col_rep)]
 
-    family = build_family(pair, p, p)
-    projectors = (
-        [basis_projector(pair, "a", i) for i in range(d)]
-        + [basis_projector(pair, "b", j) for j in range(d)]
-        + family.projectors()
-    )
-    labels = [f"A[{i}]" for i in range(d)] + [f"B[{j}]" for j in range(d)] + family.labels()
+    states = np.hstack([np.eye(d), pair.transition, family_states(d, p, p)])
+    labels = [f"A[{i}]" for i in range(d)] + [f"B[{j}]" for j in range(d)] + member_labels(p, p)
     coeffs = np.concatenate([lam, mu, gamma.reshape(-1)])
-    return _certificate(rho, projectors, labels, coeffs, tol)
+    return _certificate(rho, states, labels, coeffs)
 
 
-def _certificate(rho, projectors, labels, coeffs, tol: Tolerances) -> DecompositionCertificate:
+def _certificate(rho, states: np.ndarray, labels, coeffs) -> DecompositionCertificate:
+    """Certificate over the columns psi_k of ``states``; the residual is ||sum_k c_k |psi_k><psi_k| - rho||_F."""
     coeffs = np.where(np.abs(coeffs) < max(1e-14, len(coeffs) * 1e-16), 0.0, coeffs)
     coeffs = np.maximum(coeffs, 0.0)
-    residual = float(np.linalg.norm(reconstruct(projectors, coeffs) - rho))
+    residual = float(np.linalg.norm((states * coeffs) @ states.conj().T - rho))
     return DecompositionCertificate(
         labels=tuple(labels),
         coefficients=coeffs,
@@ -292,6 +307,7 @@ def decompose_pq_three(
     fams = lettered_families(pair, chosen)
     projectors = [proj for name in chosen for proj in fams[name].projectors()]
     labels = [label for name in chosen for label in fams[name].labels()]
+    states = np.hstack([fams[name].vectors() for name in chosen])
 
     rho = require_hermitian(rho, INPUT_GATE_TOL)
     coeffs, span_residual = _span_coefficients(rho, projectors)
@@ -331,7 +347,7 @@ def decompose_pq_three(
         parts[fam_name] = parts[fam_name] + (l0[:, None] + u0[None, :]).reshape(-1)
 
     shifted = np.concatenate([parts[name] for name in chosen])
-    return _certificate(rho, projectors, labels, shifted, tol)
+    return _certificate(rho, states, labels, shifted)
 
 
 def hull_membership(
@@ -344,9 +360,11 @@ def hull_membership(
 
     ``projectors`` is a list of projectors, or a :class:`HullSystem` built
     with :func:`hull_system` when many states are tested against the same
-    list. A system built from families hands the solver the min-norm
-    coefficients of a state within ``tol.recon`` of their span as its first
-    step; the solver keeps them when they are feasible and optimal.
+    list. The solver's first step is the state's min-norm coefficients
+    pinv(A) @ vec(rho), which it keeps when they are feasible and
+    stationary: from the Weyl coefficients for a system built from
+    families (only for a state within ``tol.recon`` of their span), and
+    from ``pinv_gram`` for one built from a projector list.
     """
     a = require_hermitian(rho, INPUT_GATE_TOL)
     trace = complex(a.trace())
@@ -359,6 +377,8 @@ def hull_membership(
         weyl = weyl_coefficients(a)
         if system.off_span_distance(weyl) <= tol.recon:
             candidate = system.min_norm_coefficients(weyl)
+    elif system.pinv_gram is not None:
+        candidate = system.pinv_gram @ (system.matrix.T @ vec)
     coeffs, distance = simplex_least_squares(system.matrix, vec, gram=system.gram, candidate=candidate)
     member = distance <= tol.recon
     certificate = None

@@ -168,24 +168,54 @@ def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndar
     return perturbation_state(f, x, d)
 
 
-def setup_bytes(d: int, perturb: bool) -> int:
-    """Estimated peak bytes of a probe call's set-up at dimension d, computed without building it.
+# The arrays each entry point builds, as named in :func:`setup_bytes`.
+_SETUP_ARRAYS = {
+    "probe": ("projectors", "stack", "gram"),
+    "member": ("projectors", "stack", "gram", "eigh"),
+    "span-rank": ("projectors", "flat"),
+    "pure": ("projectors", "json"),
+}
 
-    N = d tau(d) dense projectors (N d^2 complex), the stacked matrix and its
-    ``vstack`` copy (2 x 2d^2 x N reals), both alive with the projectors
-    inside ``stack_real``, the N x N Gram and, in perturb mode, the 2d^2 x r
-    direction basis, r = d - 1 + sum_k gcd(k, d) being the traceless part of
-    the real-table space.
+
+def setup_bytes(d: int, perturb: bool, command: str = "probe", families: int | None = None) -> int:
+    """Estimated peak bytes of the arrays ``command`` builds at dimension d, computed without building them.
+
+    With n = d x ``families`` projectors (all d tau(d) by default):
+
+    - projectors: n d^2 complex, built as dense matrices;
+    - stack: the stacked matrix and its ``vstack`` copy (2 x 2d^2 x n
+      reals), both alive with the projectors inside ``stack_real``;
+    - gram: n x n reals;
+    - eigh: the Gram's eigenvectors with LAPACK's workspace of about twice
+      as much, then the eigenvectors with the pseudo-inverse (3 n^2 reals);
+    - flat: the n x d^2 real rows of ``real_span_rank``, the list they are
+      built from and the SVD's copy (3 n d^2 reals);
+    - json: one family of d members written by ``kd pure``, 512 bytes per
+      matrix entry (its Python floats and lists, then its text as str and
+      as bytes: about 380 bytes as tracemalloc counts them);
+    - in perturb mode, the 2d^2 x r direction basis, r = d - 1 +
+      sum_k gcd(k, d) being the traceless part of the real-table space.
+
+    ``command`` is "probe", "member", "span-rank" or "pure".
     """
-    n = d * len(factorizations(d))
+    n = d * (len(factorizations(d)) if families is None else families)
+    sizes = {
+        "projectors": n * d * d * 16,
+        "stack": 2 * 2 * d * d * n * 8,
+        "gram": n * n * 8,
+        "eigh": 3 * n * n * 8,
+        "flat": 3 * n * d * d * 8,
+        "json": d**3 * 512,
+    }
     rank = d - 1 + sum(math.gcd(k, d) for k in range(1, d)) if perturb else 0
-    return n * d * d * 16 + 2 * 2 * d * d * n * 8 + n * n * 8 + 2 * d * d * rank * 8
+    return sum(sizes[name] for name in _SETUP_ARRAYS[command]) + 2 * d * d * rank * 8
 
 
-def _require_memory(d: int, perturb: bool) -> None:
-    need, have = setup_bytes(d, perturb), _physical_memory()
+def require_memory(d: int, command: str, perturb: bool = False, families: int | None = None) -> None:
+    """Raise TooLarge when :func:`setup_bytes` exceeds the machine's physical memory."""
+    need, have = setup_bytes(d, perturb, command, families), _physical_memory()
     if have is not None and need > have:
-        raise TooLarge(f"a probe at d={d} needs about {need / 2**30:.1f} GiB, the machine has {have / 2**30:.1f} GiB")
+        raise TooLarge(f"{command} at d={d} needs about {need / 2**30:.1f} GiB, the machine has {have / 2**30:.1f} GiB")
 
 
 def _physical_memory() -> int | None:
@@ -220,7 +250,7 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
     """
     tol = config.tolerances
     perturb = config.mode == "perturb"
-    _require_memory(config.d, perturb)
+    require_memory(config.d, "probe", perturb)
     pair = dft_pair(config.d)
     # The direction basis is built before the stacked projectors, so that
     # its SVD workspace is freed before they are allocated.

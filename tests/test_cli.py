@@ -313,21 +313,92 @@ def test_span_rank_family_letters_at_d12(capsys):
     assert run(["span-rank", "--d", "6", "--sets", "CE"]) == 2
 
 
-def test_probe_beyond_physical_memory_exits_2_at_once():
-    # d = 2520 has N = 120,960 family projectors, terabytes of set-up arrays.
-    # The child's address space is capped, so a missing guard fails with a
-    # MemoryError instead of filling the machine.
+def run_capped(argv):
+    """Run the CLI in a child whose address space is capped at 2 GiB; (exit code, seconds, stderr).
+
+    With the cap, a missing memory guard fails with a MemoryError instead of
+    filling the machine.
+    """
     child = (
         "import resource, sys, time\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
         "from kdclassical.cli import run\n"
         "start = time.perf_counter()\n"
-        "code = run(['probe', '--d', '2520', '--mode', 'perturb', '--samples', '1', '--seed', '1'])\n"
+        f"code = run({argv!r})\n"
         "print(code, time.perf_counter() - start)\n"
     )
     src = os.path.dirname(os.path.dirname(kdclassical.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
     code, seconds = done.stdout.split()
-    assert int(code) == 2 and float(seconds) < 1.0
-    assert "d=2520 needs about" in done.stderr
+    return int(code), float(seconds), done.stderr
+
+
+def test_probe_beyond_physical_memory_exits_2_at_once():
+    # d = 2520 has N = 120,960 family projectors, terabytes of set-up arrays.
+    code, seconds, stderr = run_capped(["probe", "--d", "2520", "--mode", "perturb", "--samples", "1", "--seed", "1"])
+    assert code == 2 and seconds < 1.0
+    assert "d=2520 needs about" in stderr
+
+
+def test_span_rank_beyond_physical_memory_exits_2_at_once():
+    code, seconds, stderr = run_capped(["span-rank", "--d", "2520"])
+    assert code == 2 and seconds < 1.0
+    assert "span-rank at d=2520 needs about" in stderr
+
+
+@pytest.mark.parametrize("command", ["member", "span-rank", "pure"])
+def test_entry_points_refuse_what_physical_memory_cannot_hold(tmp_path, monkeypatch, capsys, command):
+    import kdclassical.harness as harness_module
+    from kdclassical.harness import setup_bytes
+
+    d = 6
+    argv = {
+        "member": ["member", "--state", write_state(tmp_path / "rho.json", np.eye(d) / d)],
+        "span-rank": ["span-rank", "--d", str(d)],
+        "pure": ["pure", "--d", str(d), "--out", str(tmp_path / "families")],
+    }[command]
+    need = setup_bytes(d, False, command)
+    monkeypatch.setattr(harness_module, "_physical_memory", lambda: need - 1)
+    assert run(argv) == 2
+    assert f"{command} at d={d} needs about" in capsys.readouterr().err
+    assert not (tmp_path / "families").exists()
+    monkeypatch.setattr(harness_module, "_physical_memory", lambda: need)
+    assert run(argv) == 0
+
+
+def test_span_rank_estimate_counts_only_the_chosen_families(monkeypatch, capsys):
+    import kdclassical.harness as harness_module
+    from kdclassical.harness import setup_bytes
+
+    need = setup_bytes(6, False, "span-rank", families=2)
+    assert need < setup_bytes(6, False, "span-rank")
+    monkeypatch.setattr(harness_module, "_physical_memory", lambda: need)
+    assert run(["span-rank", "--d", "6", "--sets", "CD"]) == 0
+    assert capsys.readouterr().out.strip() == "11"
+    assert run(["span-rank", "--d", "6", "--sets", "BCD"]) == 2
+
+
+@pytest.mark.parametrize("command", ["member", "span-rank", "pure"])
+def test_entry_point_estimate_covers_what_it_allocates(tmp_path, capsys, command):
+    # tracemalloc sees numpy's arrays and Python's objects, not LAPACK's
+    # workspace, so its peak is a floor for the true one.
+    import tracemalloc
+
+    from kdclassical.harness import setup_bytes
+
+    d = 20
+    argv = {
+        "member": ["member", "--state", write_state(tmp_path / "rho.json", np.eye(d) / d)],
+        "span-rank": ["span-rank", "--d", str(d)],
+        "pure": ["pure", "--d", str(d), "--out", str(tmp_path / "families")],
+    }[command]
+    assert run(argv) == 0  # first-call caches
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= setup_bytes(d, False, command) <= 2 * peak

@@ -20,7 +20,7 @@ from kdclassical import (
     pure_kd_set,
     support_counts,
 )
-from kdclassical.families import lettered_families, prime_pair
+from kdclassical.families import family_states, lettered_families, prime_pair
 
 
 def test_factorizations():
@@ -199,3 +199,17 @@ def test_family_labels_follow_the_member_order():
     assert build_family(pair, 6, 1).labels()[:2] == ["A[0]", "A[1]"]
     assert build_family(pair, 1, 6).labels()[:2] == ["B[0]", "B[1]"]
     assert build_family(pair, 2, 3).labels()[:4] == ["PSI(2,3)[0,0]", "PSI(2,3)[0,1]", "PSI(2,3)[0,2]", "PSI(2,3)[1,0]"]
+
+
+@pytest.mark.parametrize("d", range(2, 31))
+def test_vectorised_build_is_bit_identical_to_psi_state_and_outer(d):
+    pair = dft_pair(d)
+    for p, q in factorizations(d):
+        family = build_family(pair, p, q)
+        for member in family.members:
+            v = psi_state(pair, p, q, member.m, member.s)
+            assert np.array_equal(member.vector, v)
+            assert np.array_equal(member.projector, np.outer(v, v.conj()))
+        assert np.array_equal(family_states(d, p, q), family.vectors())
+    with pytest.raises(BadFactorization):
+        family_states(d, d + 1, 1)

@@ -10,6 +10,7 @@ from kdclassical import (
     NotClassical,
     NotInSpan,
     NotUnitTrace,
+    SampleConfig,
     Tolerances,
     basis_projector,
     build_family,
@@ -22,6 +23,7 @@ from kdclassical import (
     pure_kd_set,
     quadruple_conditions_p2,
     quadruple_violation,
+    sample_kd_boundary,
     span_project,
 )
 from kdclassical.families import all_projectors
@@ -449,6 +451,26 @@ def test_reconstruct_matches_the_sum_of_weighted_projectors():
     for c, p in zip(coeffs, projs):
         expected += c * p
     assert np.abs(reconstruct(projs, coeffs) - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_decompose_p2_vector_residual_matches_the_projector_sum(p):
+    from kdclassical.geometry import reconstruct
+
+    d = p * p
+    pair = dft_pair(d)
+    projs = (
+        [basis_projector(pair, "a", i) for i in range(d)]
+        + [basis_projector(pair, "b", j) for j in range(d)]
+        + build_family(pair, p, p).projectors()
+    )
+    config = SampleConfig(d=d, seed=31, n_samples=8, mode="perturb")
+    basis = kd_real_basis(d)
+    for index in range(8):
+        rho = sample_kd_boundary(config, basis, index=index)
+        cert = decompose_p2(rho, pair, p)
+        expected = float(np.linalg.norm(reconstruct(projs, cert.coefficients) - rho))
+        assert abs(cert.residual - expected) <= 1e-15
 
 
 def test_decompose_p2_certificate_labels():

@@ -1,11 +1,18 @@
-"""The frame operator of the family projectors in the Weyl basis, and the solver step built on it."""
+"""The frame operator of the family projectors in the Weyl basis, and the min-norm solver step.
+
+The step comes from the Weyl coefficients for a system built from families,
+and from the pseudo-inverse of the Gram for one built from a projector list.
+"""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from kdclassical import SampleConfig, dft_pair, kd_real_basis, kd_real_dimension, pure_kd_set, sample_kd_boundary, solver
+from kdclassical import SampleConfig, dft_pair, geometry, kd_real_basis, kd_real_dimension, pure_kd_set, sample_kd_boundary, solver
+from kdclassical.families import all_projectors
 from kdclassical.geometry import (
     HullSystem,
     frame_multiplicities,
@@ -184,3 +191,86 @@ def test_off_span_states_never_reach_the_min_norm_step(monkeypatch):
     monkeypatch.setattr(HullSystem, "min_norm_coefficients", forbidden)
     for rho in states(6)[3:]:
         assert hull_membership(rho, system).distance == plain_distance(system, rho)
+
+
+def list_system(d):
+    return hull_system(all_projectors(pure_kd_set(dft_pair(d)))[0])
+
+
+class CandidateRecorder:
+    """Wraps the solver as geometry calls it and keeps each ``candidate`` passed."""
+
+    def __init__(self, monkeypatch):
+        self.seen = []
+        original = geometry.simplex_least_squares
+
+        def recording(*args, candidate=None, **kwargs):
+            self.seen.append(candidate)
+            return original(*args, candidate=candidate, **kwargs)
+
+        monkeypatch.setattr(geometry, "simplex_least_squares", recording)
+
+
+@pytest.mark.parametrize("d", [6, 9, 12])
+def test_list_candidate_is_the_lstsq_min_norm_solution(monkeypatch, d):
+    system = list_system(d)
+    recorder = CandidateRecorder(monkeypatch)
+    for rho in states(d):
+        vec = stack_real([rho]).reshape(-1)
+        want, *_ = np.linalg.lstsq(system.matrix, vec, rcond=None)
+        hull_membership(rho, system)
+        assert np.abs(recorder.seen[-1] - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [6, 9, 12])
+def test_list_and_family_systems_give_the_same_verdicts(d):
+    by_list, by_families = list_system(d), family_system(d)
+    config = SampleConfig(d=d, seed=12721, n_samples=1, mode="perturb")
+    basis = kd_real_basis(d)
+    # Index 235 at d = 6 is the README's classical state outside the hull.
+    extra = [sample_kd_boundary(config, basis, index=235)] if d == 6 else []
+    for rho in states(d) + extra:
+        one, other = hull_membership(rho, by_list), hull_membership(rho, by_families)
+        assert one.member == other.member
+        assert abs(one.distance - other.distance) <= 1e-12
+
+
+def test_accepted_list_candidate_is_one_kkt_call(monkeypatch):
+    system = list_system(6)
+    rho, _ = decided_state(family_system(6), 6)
+    counter = StepCounter(monkeypatch)
+    verdict = hull_membership(rho, system)
+    assert counter.calls == 1
+    assert verdict.member and abs(verdict.distance - plain_distance(system, rho)) <= 1e-14
+    assert verdict.certificate.coefficients.min() >= 0.0
+
+
+def test_negative_list_candidate_falls_back_to_the_plain_solver(monkeypatch):
+    system = list_system(6)
+    rho, x = decided_state(family_system(6), 6)
+    h = system.matrix.T @ stack_real([rho]).reshape(-1)
+    # pinv_gram @ h becomes x + t v, v in the kernel: still stationary and
+    # summing to one, so only the sign check can catch it.
+    v = null_vector(system)
+    bad = system.pinv_gram + np.outer(1.5 * x.max() * v, h) / (h @ h)
+    assert (bad @ h).min() < -1e-6 and abs((bad @ h).sum() - 1.0) <= 1e-12
+    counter = StepCounter(monkeypatch)
+    verdict = hull_membership(rho, dataclasses.replace(system, pinv_gram=bad))
+    assert counter.calls > 2
+    assert verdict.distance == plain_distance(system, rho)
+
+
+def test_list_whose_span_lacks_the_identity_falls_back(monkeypatch):
+    # The first d - 1 a-basis projectors span the diagonals with a zero last
+    # entry. The min-norm coefficients of a diagonal state are its first
+    # d - 1 weights, nonnegative and stationary, but they sum to less than one.
+    d = 6
+    weights = np.arange(1.0, d + 1.0) / (d * (d + 1) / 2)
+    rho = np.diag(weights).astype(complex)
+    projectors = [np.diag(np.eye(d)[i]).astype(complex) for i in range(d - 1)]
+    system = hull_system(projectors)
+    recorder = CandidateRecorder(monkeypatch)
+    verdict = hull_membership(rho, system)
+    assert np.abs(recorder.seen[0] - weights[:-1]).max() <= 1e-15
+    assert verdict.distance == plain_distance(system, rho)
+    assert abs(verdict.distance - weights[-1] * np.sqrt(d / (d - 1))) <= 1e-15
