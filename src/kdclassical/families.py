@@ -32,12 +32,19 @@ class FamilyMember:
     m: int
     s: int
     vector: np.ndarray
-    projector: np.ndarray
+
+    @property
+    def projector(self) -> np.ndarray:
+        """|psi><psi|, built on each access: elementwise the same as np.outer(v, v.conj())."""
+        return self.vector[:, None] * self.vector.conj()[None, :]
 
 
 @dataclass(frozen=True)
 class PureFamily:
-    """Projectors of one factorization family, labeled A/B/PSI(p,q)/PHI(p,q)."""
+    """States of one factorization family, labeled A/B/PSI(p,q)/PHI(p,q).
+
+    Each member keeps its state vector; its projector is built only when asked for.
+    """
 
     label: str
     dim: int
@@ -160,11 +167,7 @@ def family_states(d: int, p: int, q: int) -> np.ndarray:
 
 def build_family(pair: BasisPair, p: int, q: int) -> PureFamily:
     rows = family_states(pair.dim, p, q).T
-    # One broadcast product, elementwise the same as np.outer(v, v.conj()).
-    projectors = rows[:, :, None] * rows.conj()[:, None, :]
-    members = tuple(
-        FamilyMember(m=k // q, s=k % q, vector=rows[k], projector=projectors[k]) for k in range(p * q)
-    )
+    members = tuple(FamilyMember(m=k // q, s=k % q, vector=rows[k]) for k in range(p * q))
     return PureFamily(label=family_label(p, q), dim=pair.dim, p=p, q=q, members=members)
 
 

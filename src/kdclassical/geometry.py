@@ -2,12 +2,15 @@
 
 Projector lists are treated as real vectors via the Frobenius-isometric
 stacking of real and imaginary parts, so least-squares residuals in the
-stacked coordinates equal Frobenius distances between matrices.
+stacked coordinates equal Frobenius distances between matrices. The
+family projectors are rank one, and a hull system built from families
+works on their state vectors instead.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,29 +73,32 @@ class MembershipVerdict:
 
 @dataclass(frozen=True)
 class HullSystem:
-    """A projector list stacked once, for many hull-membership queries.
+    """A projector list prepared once, for many hull-membership queries.
 
-    ``matrix`` has one stacked-real column per projector and ``gram`` is
-    ``matrix.T @ matrix``; every query against the list shares both.
+    ``gram`` is the n x n matrix of Frobenius inner products <P_j, P_k>,
+    shared by every query against the list.
 
-    A system built from families also keeps their state vectors ``states``
-    (d x N, column k is psi_k) and ``weights``, the d x d table of 1/c(a, b)
-    with 0 where c = 0. Each family is an orthonormal basis whose diagonal
-    operators are spanned by the Weyl operators X^a Z^b with p | a and
-    q | b, so the frame operator S = sum_k |P_k><P_k| is diagonal in the
-    Weyl basis with eigenvalue c(a, b) = #{families (p, q) : p | a, q | b}.
-    That gives the distance of a state from the span and the min-norm
-    coefficients pinv(matrix) @ vec(rho) in closed form.
+    A system built from families is rank-one: it keeps their state vectors
+    ``states`` (d x n, column k is psi_k), so that <P_j, P_k> =
+    |<psi_j|psi_k>|^2 and <P_k, rho> = <psi_k|rho|psi_k>, and ``weights``,
+    the d x d table of 1/c(a, b) with 0 where c = 0. Each family is an
+    orthonormal basis whose diagonal operators are spanned by the Weyl
+    operators X^a Z^b with p | a and q | b, so the frame operator
+    S = sum_k |P_k><P_k| is diagonal in the Weyl basis with eigenvalue
+    c(a, b) = #{families (p, q) : p | a, q | b}. That gives the distance of
+    a state from the span and its min-norm coefficients in closed form.
 
-    A system built from a plain projector list keeps ``pinv_gram``, the
-    pseudo-inverse of ``gram`` (see :data:`PINV_CUTOFF`), instead; then
-    pinv(matrix) @ vec(rho) = pinv_gram @ (matrix.T @ vec(rho)).
+    A system built from a plain projector list keeps ``matrix``, one
+    stacked-real column per projector (``gram`` is ``matrix.T @ matrix``),
+    and ``pinv_gram``, the pseudo-inverse of ``gram`` (see
+    :data:`PINV_CUTOFF`); then pinv(matrix) @ vec(rho) =
+    pinv_gram @ (matrix.T @ vec(rho)).
     """
 
-    matrix: np.ndarray
     gram: np.ndarray
     states: np.ndarray | None = None
     weights: np.ndarray | None = None
+    matrix: np.ndarray | None = None
     pinv_gram: np.ndarray | None = None
 
     def off_span_distance(self, coeffs: np.ndarray) -> float:
@@ -101,17 +107,30 @@ class HullSystem:
         return float(np.sqrt(np.vdot(off, off).real / coeffs.shape[0]))
 
     def min_norm_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
-        """x_k = Re <psi_k| S^+ rho |psi_k>, which equals pinv(matrix) @ vec(rho)."""
-        inverse = from_weyl(coeffs * self.weights)
-        return np.einsum("ik,ik->k", self.states.conj(), inverse @ self.states).real
+        """x_k = Re <psi_k| S^+ rho |psi_k>, the min-norm least-squares coefficients of rho."""
+        return self.expectations(from_weyl(coeffs * self.weights))
+
+    def expectations(self, op: np.ndarray) -> np.ndarray:
+        """Re <psi_k|op|psi_k> for every state k; for op = rho these are h_k = <P_k, rho>.
+
+        Returned contiguous: the solver reads h on every step.
+        """
+        return np.ascontiguousarray(np.einsum("ik,ik->k", self.states.conj(), op @ self.states).real)
+
+    def residual(self, x: np.ndarray, rho: np.ndarray) -> float:
+        """||sum_k x_k |psi_k><psi_k| - rho||_F, in primal coordinates."""
+        r = np.dot(self.states * x, self.states.conj().T)
+        r -= rho
+        return math.sqrt(np.vdot(r, r).real)
 
 
 def hull_system(source) -> HullSystem:
-    """Stack a projector list, or the projectors of a list of families.
+    """Prepare a projector list, or the states of a list of families.
 
-    A system built from families carries the Weyl data of
-    :class:`HullSystem`, and one built from a projector list its
-    ``pinv_gram``, from one eigendecomposition of the Gram.
+    A system built from families is rank-one and carries the Weyl data of
+    :class:`HullSystem`; no dense projector is built. One built from a
+    projector list stacks it and keeps its ``pinv_gram``, from one
+    eigendecomposition of the Gram.
     """
     if not len(source):
         raise ValueError("need at least one projector")
@@ -121,13 +140,14 @@ def hull_system(source) -> HullSystem:
         eig, vecs = np.linalg.eigh(gram)
         keep = eig > PINV_CUTOFF * eig[-1]
         kept = vecs[:, keep]
-        return HullSystem(matrix=mat, gram=gram, pinv_gram=(kept / eig[keep]) @ kept.T)
-    mat = stack_real([proj for fam in source for proj in fam.projectors()])
+        return HullSystem(gram=gram, matrix=mat, pinv_gram=(kept / eig[keep]) @ kept.T)
+    states = np.hstack([fam.vectors() for fam in source])
+    gram = np.abs(states.conj().T @ states)
+    gram *= gram
     c = frame_multiplicities(source)
     return HullSystem(
-        matrix=mat,
-        gram=mat.T @ mat,
-        states=np.hstack([fam.vectors() for fam in source]),
+        gram=gram,
+        states=states,
         weights=np.divide(1.0, c, out=np.zeros(c.shape), where=c > 0),
     )
 
@@ -360,26 +380,31 @@ def hull_membership(
 
     ``projectors`` is a list of projectors, or a :class:`HullSystem` built
     with :func:`hull_system` when many states are tested against the same
-    list. The solver's first step is the state's min-norm coefficients
-    pinv(A) @ vec(rho), which it keeps when they are feasible and
-    stationary: from the Weyl coefficients for a system built from
-    families (only for a state within ``tol.recon`` of their span), and
-    from ``pinv_gram`` for one built from a projector list.
+    list. The solver works on the Gram and h_k = <P_k, rho>, computed once
+    per query: from the state vectors for a system built from families,
+    from the stacked matrix for one built from a projector list. Its first
+    step is the state's min-norm coefficients, which it keeps when they
+    are feasible and stationary: from the Weyl coefficients for a system
+    built from families (only for a state within ``tol.recon`` of their
+    span), and from ``pinv_gram`` for one built from a projector list. The
+    distance is computed in primal coordinates.
     """
     a = require_hermitian(rho, INPUT_GATE_TOL)
     trace = complex(a.trace())
     if abs(trace - 1.0) > INPUT_GATE_TOL:
         raise NotUnitTrace(f"trace is {trace!r}, expected 1")
     system = projectors if isinstance(projectors, HullSystem) else hull_system(projectors)
-    vec = stack_real([a]).reshape(-1)
-    candidate = None
     if system.states is not None:
+        h = system.expectations(a)
         weyl = weyl_coefficients(a)
-        if system.off_span_distance(weyl) <= tol.recon:
-            candidate = system.min_norm_coefficients(weyl)
-    elif system.pinv_gram is not None:
-        candidate = system.pinv_gram @ (system.matrix.T @ vec)
-    coeffs, distance = simplex_least_squares(system.matrix, vec, gram=system.gram, candidate=candidate)
+        candidate = system.min_norm_coefficients(weyl) if system.off_span_distance(weyl) <= tol.recon else None
+        coeffs = simplex_least_squares(system.gram, h, candidate=candidate)
+        distance = system.residual(coeffs, a)
+    else:
+        vec = stack_real([a]).reshape(-1)
+        h = system.matrix.T @ vec
+        coeffs = simplex_least_squares(system.gram, h, candidate=system.pinv_gram @ h)
+        distance = float(np.linalg.norm(system.matrix @ coeffs - vec))
     member = distance <= tol.recon
     certificate = None
     if member:

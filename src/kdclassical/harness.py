@@ -10,10 +10,11 @@ archives candidate counterexamples with full seed provenance.
 
 Everything a probe call shares across its samples is built once per call:
 the basis pair, the family-built hull system
-(:class:`~kdclassical.geometry.HullSystem`), the projectors in hull mode
-and, in perturb mode, the traceless direction basis
-(:class:`PerturbationBasis`). Per sample only the draw, its table and its
-hull solve remain.
+(:class:`~kdclassical.geometry.HullSystem`, from the families' state
+vectors), the dense projectors in hull mode only and, in perturb mode, the
+traceless direction basis (:class:`PerturbationBasis`) from the closed-form
+block of the all-real-table space. Per sample only the draw, its table and
+its hull solve remain.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .engine import classicality, kd_table
 from .exceptions import BadDimension, SolverDidNotConverge, TooLarge, ZeroDirection
 from .families import all_projectors, factorizations, pure_kd_set
 from .geometry import hull_membership, hull_system, stack_real
-from .kdreal import kd_real_basis, kd_real_condition
+# kd_real_basis is not called here, but benchmarks/tracing.py wraps it under this module.
+from .kdreal import CONDITION_TOL, kd_real_basis, kd_real_condition, traceless_kd_real_block  # noqa: F401
 from .linalg import Tolerances, matrix_to_json
 
 MODES = ("hull", "perturb", "ginibre")
@@ -99,18 +101,50 @@ def sample_hull_point(config: SampleConfig, projectors, index: int = 0) -> np.nd
     return _simplex_mixture(_rng(config.seed, index), projectors)
 
 
+# Singular values of a traceless block at or below this fraction of the
+# largest count as zero. For the whole all-real-table space the traceless
+# step removes one dimension, whose singular value comes out below 1e-16 of
+# the largest, while every kept one is above 0.09 of it (d <= 60).
+DIRECTION_RANK_CUT = 1e-12
+
+# A drawn direction below this Frobenius norm is zero up to roundoff: the
+# directions are orthonormal, so its norm is that of the standard normal
+# draw, and the step bound would divide by roundoff.
+ZERO_DIRECTION_NORM = 1e-14
+
+
 def traceless_real_table_directions(f_basis, d: int) -> np.ndarray:
-    """Orthonormal stacked-real basis of the traceless part of span(f_basis)."""
-    if not kd_real_condition(np.asarray(f_basis, dtype=np.complex128), 1e-9):
+    """Orthonormal stacked-real basis of the traceless part of span(f_basis).
+
+    ``f_basis`` is a list of operators with all-real tables, stacked here, or
+    None for the whole all-real-table space, whose traceless block comes in
+    closed form (:func:`~kdclassical.kdreal.traceless_kd_real_block`). Either
+    block is checked, Hermiticity and the entry condition per column, before
+    its SVD.
+    """
+    if f_basis is None:
+        block = traceless_kd_real_block(d)
+    elif not len(f_basis):
+        raise ValueError("basis has no members")
+    else:
+        block = stack_real([_traceless(f, d) for f in f_basis])
+    cells = d * d
+    re, im = block[:cells].T.reshape(-1, d, d), block[cells:].T.reshape(-1, d, d)
+    if not kd_real_condition(re, CONDITION_TOL, imag=im):
         raise ValueError("basis member does not have an entrywise-real table")
-    eye = np.eye(d, dtype=np.complex128)
-    # Per member on purpose: one stacked traceless array here raises the
-    # probe's peak RSS at d = 30 through heap fragmentation.
-    traceless = [f - (np.trace(f) / d) * eye for f in f_basis]
-    block = stack_real(traceless)
     u, sigma, _ = np.linalg.svd(block, full_matrices=False)
-    keep = sigma > 1e-12 * (sigma[0] if sigma.size else 1.0)
-    return u[:, keep]
+    # The singular values are sorted, so the kept ones are a prefix. It is
+    # copied column-major: a row-strided view of ``u`` sends each draw's
+    # product through another BLAS kernel and changes the draws' last bits.
+    return np.asfortranarray(u[:, : int(np.count_nonzero(sigma > DIRECTION_RANK_CUT * sigma[0]))])
+
+
+def _traceless(f, d: int) -> np.ndarray:
+    """f - Re(tr(f)/d) I; only the real part is removed, so the block check still sees f's imaginary diagonal."""
+    f = np.asarray(f, dtype=np.complex128)
+    if f.shape != (d, d):
+        raise ValueError(f"basis member has shape {f.shape}, expected {(d, d)}")
+    return f - (np.trace(f) / d).real * np.eye(d, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -118,7 +152,8 @@ class PerturbationBasis:
     """Traceless real-table directions and the basis pair, built once for many draws.
 
     ``sample_kd_boundary`` accepts one in place of an operator basis and then
-    skips rebuilding the directions; the draws are identical either way.
+    skips rebuilding the directions; the draws are identical either way, and
+    identical for ``kd_real_basis(d)`` and for None, its closed form.
     """
 
     pair: BasisPair
@@ -126,6 +161,7 @@ class PerturbationBasis:
 
 
 def perturbation_basis(f_basis, pair: BasisPair) -> PerturbationBasis:
+    """Directions of a list of operators with all-real tables, or of the whole space for None."""
     return PerturbationBasis(pair=pair, directions=traceless_real_table_directions(f_basis, pair.dim))
 
 
@@ -157,7 +193,7 @@ def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndar
     coeffs = rng.standard_normal(directions.shape[1])
     f = _matrix_from_stacked(directions @ coeffs, d)
     f = (f + f.conj().T) / 2  # scrub roundoff from the stacked round trip
-    if float(np.linalg.norm(f)) < 1e-14:
+    if float(np.linalg.norm(f)) < ZERO_DIRECTION_NORM:
         raise ZeroDirection("drawn direction is numerically zero")
     f_max = float(np.abs(np.linalg.eigvalsh(f)).max())
     q_max = float(np.abs(kd_table(f, basis.pair).values).max())
@@ -168,52 +204,61 @@ def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndar
     return perturbation_state(f, x, d)
 
 
-# The arrays each entry point builds, as named in :func:`setup_bytes`.
+# The arrays each probe mode and command builds, as named in :func:`setup_bytes`.
 _SETUP_ARRAYS = {
-    "probe": ("projectors", "stack", "gram"),
+    "hull": ("states", "overlaps", "gram", "projectors"),
+    "perturb": ("states", "overlaps", "gram", "directions"),
+    "ginibre": ("states", "overlaps", "gram"),
     "member": ("projectors", "stack", "gram", "eigh"),
     "span-rank": ("projectors", "flat"),
-    "pure": ("projectors", "json"),
+    "pure": ("json",),
 }
 
 
-def setup_bytes(d: int, perturb: bool, command: str = "probe", families: int | None = None) -> int:
-    """Estimated peak bytes of the arrays ``command`` builds at dimension d, computed without building them.
+def setup_bytes(d: int, command: str, families: int | None = None) -> int:
+    """Bytes of the arrays ``command`` builds at dimension d, computed without building them.
 
-    With n = d x ``families`` projectors (all d tau(d) by default):
+    ``command`` is a probe mode ("hull", "perturb", "ginibre"), "member",
+    "span-rank" or "pure". With n = d x ``families`` projectors (all d tau(d)
+    by default):
 
+    - states: the d x n state vectors (complex) and the d x d Weyl weights
+      of a family-built hull system;
+    - overlaps: the n x n complex V^dag V its Gram is computed from;
+    - gram: n x n reals;
     - projectors: n d^2 complex, built as dense matrices;
+    - directions: the 2d^2 x m traceless block, m = d + sum_k gcd(k, d)
+      being the real-table dimension, the SVD's left factor of the same
+      shape, and the 2d^2 x (m - 1) directions copied out of it;
     - stack: the stacked matrix and its ``vstack`` copy (2 x 2d^2 x n
       reals), both alive with the projectors inside ``stack_real``;
-    - gram: n x n reals;
     - eigh: the Gram's eigenvectors with LAPACK's workspace of about twice
       as much, then the eigenvectors with the pseudo-inverse (3 n^2 reals);
     - flat: the n x d^2 real rows of ``real_span_rank``, the list they are
       built from and the SVD's copy (3 n d^2 reals);
     - json: one family of d members written by ``kd pure``, 512 bytes per
       matrix entry (its Python floats and lists, then its text as str and
-      as bytes: about 380 bytes as tracemalloc counts them);
-    - in perturb mode, the 2d^2 x r direction basis, r = d - 1 +
-      sum_k gcd(k, d) being the traceless part of the real-table space.
-
-    ``command`` is "probe", "member", "span-rank" or "pure".
+      as bytes: about 380 bytes as tracemalloc counts them).
     """
     n = d * (len(factorizations(d)) if families is None else families)
+    m = d + sum(math.gcd(k, d) for k in range(1, d))
     sizes = {
-        "projectors": n * d * d * 16,
-        "stack": 2 * 2 * d * d * n * 8,
+        "states": n * d * 16 + d * d * 8,
+        "overlaps": n * n * 16,
         "gram": n * n * 8,
+        "projectors": n * d * d * 16,
+        "directions": 2 * d * d * (3 * m - 1) * 8,
+        "stack": 2 * 2 * d * d * n * 8,
         "eigh": 3 * n * n * 8,
         "flat": 3 * n * d * d * 8,
         "json": d**3 * 512,
     }
-    rank = d - 1 + sum(math.gcd(k, d) for k in range(1, d)) if perturb else 0
-    return sum(sizes[name] for name in _SETUP_ARRAYS[command]) + 2 * d * d * rank * 8
+    return sum(sizes[name] for name in _SETUP_ARRAYS[command])
 
 
-def require_memory(d: int, command: str, perturb: bool = False, families: int | None = None) -> None:
+def require_memory(d: int, command: str, families: int | None = None) -> None:
     """Raise TooLarge when :func:`setup_bytes` exceeds the machine's physical memory."""
-    need, have = setup_bytes(d, perturb, command, families), _physical_memory()
+    need, have = setup_bytes(d, command, families), _physical_memory()
     if have is not None and need > have:
         raise TooLarge(f"{command} at d={d} needs about {need / 2**30:.1f} GiB, the machine has {have / 2**30:.1f} GiB")
 
@@ -249,12 +294,11 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
     which is the largest distance among solved classical non-members.
     """
     tol = config.tolerances
-    perturb = config.mode == "perturb"
-    require_memory(config.d, "probe", perturb)
+    require_memory(config.d, config.mode)
     pair = dft_pair(config.d)
-    # The direction basis is built before the stacked projectors, so that
-    # its SVD workspace is freed before they are allocated.
-    directions = perturbation_basis(kd_real_basis(config.d), pair) if perturb else None
+    # The direction basis is built first, so that its SVD workspace is freed
+    # before the hull system is allocated.
+    directions = perturbation_basis(None, pair) if config.mode == "perturb" else None
     families = pure_kd_set(pair)
     system = hull_system(families)
     projectors = all_projectors(families)[0] if config.mode == "hull" else None

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dft import BasisPair
+from .exceptions import NotHermitian
 from .linalg import require_hermitian
 
 CONDITION_TOL = 1e-9
@@ -88,13 +89,27 @@ def entry_partition(d: int) -> EntryPartition:
     return EntryPartition(dim=d, categories=tuple(categories), diagonal=diagonal)
 
 
-def kd_real_condition(f: np.ndarray, tol: float = CONDITION_TOL) -> bool:
+def kd_real_condition(f: np.ndarray, tol: float = CONDITION_TOL, imag: np.ndarray | None = None) -> bool:
     """Entry condition F_{i(i+k)} = F_{(i-k)i} for all i, k in Z_d.
 
     ``f`` is one operator or a stack ``(m, d, d)`` of them; a stack meets the
     condition when every member does, and raises NotHermitian when any
-    member is not Hermitian within ``tol``.
+    member is not Hermitian within ``tol``. With ``imag`` given, ``f`` and
+    ``imag`` are the real and imaginary parts of the operators, checked
+    without forming a complex array (the columns of a stacked-real block);
+    each |z| is then hypot(Re z, Im z).
     """
+    if imag is not None:
+        re, im = f, imag
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValueError("matrix has non-finite entries")
+        dev = float(np.hypot(re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)).max())
+        if dev > tol:
+            raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+        d = re.shape[-1]
+        idx = np.arange(d)
+        cells, partners = (..., idx, (idx + idx[:, None]) % d), (..., (idx - idx[:, None]) % d, idx)
+        return float(np.hypot(re[cells] - re[partners], im[cells] - im[partners]).max()) <= tol
     a = require_hermitian(f, tol)
     d = a.shape[-1]
     idx = np.arange(d)
@@ -132,30 +147,41 @@ def kd_real_basis(d: int) -> list[np.ndarray]:
     Diagonal units, then per category the symmetric combination (and, for
     complex categories, the antisymmetric i-weighted one).
     """
-    basis: list[np.ndarray] = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=np.complex128)
-        e[i, i] = 1.0
-        basis.append(e)
-    if d == 1:
-        return basis
-    for cat in entry_partition(d).categories:
-        x = np.zeros((d, d), dtype=np.complex128)
-        for i, j in cat.cells:
-            x[i, j] = 1.0
-        if cat.is_real:
-            basis.append(x)
-            continue
-        y = np.zeros((d, d), dtype=np.complex128)
-        for i, j in cat.conjugate_cells:
-            x[i, j] = 1.0
-        for i, j in cat.cells:
-            y[i, j] = 1j
-        for i, j in cat.conjugate_cells:
-            y[i, j] = -1j
-        basis.append(x)
-        basis.append(y)
-    return basis
+    block = _kd_real_block(d)
+    basis = np.empty((block.shape[1], d, d), dtype=np.complex128)
+    basis.real = block[: d * d].T.reshape(-1, d, d)
+    basis.imag = block[d * d :].T.reshape(-1, d, d)
+    return list(basis)
+
+
+def traceless_kd_real_block(d: int) -> np.ndarray:
+    """``stack_real([f - tr(f)/d I for f in kd_real_basis(d)])``, built without the dense basis.
+
+    Every bit matches that expression, the signs of zeros included: the
+    real part of each -1j entry is -0.0. The diagonal units become e_i - I/d;
+    the other members are traceless already.
+    """
+    block = _kd_real_block(d)
+    block[np.arange(d) * (d + 1), :d] -= 1.0 / d
+    return block
+
+
+def _kd_real_block(d: int) -> np.ndarray:
+    """The basis of :func:`kd_real_basis` as the columns of its 2d^2 x m stacked-real block, from the entry partition."""
+    cats = entry_partition(d).categories if d > 1 else ()
+    block = np.zeros((2 * d * d, d + sum(1 if cat.is_real else 2 for cat in cats)))
+    block[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    col = d
+    for cat in cats:
+        cells = [i * d + j for i, j in cat.cells]
+        conj = [i * d + j for i, j in cat.conjugate_cells]
+        block[cells + conj, col] = 1.0
+        if not cat.is_real:
+            block[d * d + np.array(cells), col + 1] = 1.0
+            block[d * d + np.array(conj), col + 1] = -1.0
+            block[conj, col + 1] = -0.0  # the real part of -1j
+        col += 1 if cat.is_real else 2
+    return block
 
 
 _SYMBOLS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"

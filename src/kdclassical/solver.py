@@ -1,6 +1,8 @@
 """Least squares over the probability simplex.
 
-Solves  minimize ||A x - b||_2  subject to  x >= 0, sum(x) = 1  with a
+Solves  minimize ||A x - b||_2  subject to  x >= 0, sum(x) = 1  from the
+Gram G = A^T A and h = A^T b alone, so a caller never needs A itself: the
+objective is x.G x - 2 h.x + ||b||^2. The iteration is a
 primal active-set iteration (Lawson & Hanson, *Solving Least Squares
 Problems*, 1974): on the current free set F the equality-constrained normal
 equations are solved through their KKT system, blocking variables are
@@ -19,8 +21,9 @@ is marked invalid until the next rebuild, and the step falls back to an LU
 solve of the bordered KKT matrix, and from there to the minimum-norm
 least-squares solution when LU finds it singular; that fallback is also
 taken when the factor gives a non-finite step. Termination is by the KKT
-optimality test, and the returned distance is recomputed from ``A x - b``,
-so it is optimal up to linear-algebra roundoff.
+optimality test. The caller computes the distance ||A x - b|| from the
+returned x in its own coordinates, since x.G x - 2 h.x + ||b||^2 loses
+the small distances to cancellation.
 
 A caller that knows pinv(A) b in closed form (the Weyl min-norm step of a
 family-built :class:`~kdclassical.geometry.HullSystem`) passes it as
@@ -46,42 +49,33 @@ _PIVOT_TOL = 1e-10
 
 
 def simplex_least_squares(
-    a: np.ndarray,
-    b: np.ndarray,
+    gram: np.ndarray,
+    h: np.ndarray,
     max_iter: int | None = None,
-    gram: np.ndarray | None = None,
     candidate: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """Return (x, distance) for the simplex-constrained least-squares problem.
-
-    ``gram`` is ``a.T @ a`` when the caller already holds it, as it does when
-    many right-hand sides share one ``a``; it is computed here otherwise.
+) -> np.ndarray:
+    """Return the minimizer x of ||A x - b|| over the simplex, given G = A^T A and h = A^T b.
 
     ``candidate`` is the caller's min-norm least-squares solution over all
-    columns, pinv(a) @ b, when it has one in closed form. It is the first
+    columns, pinv(A) @ b, when it has one in closed form. It is the first
     KKT step, with every column free and nu = 0, and it is returned when it
     is finite, feasible (entries >= -_FEAS_TOL, sum 1) and stationary on
     every column: then A x is the projection of b onto the span of the
     columns, so no point of the simplex is closer. Otherwise the active set
     starts from the best vertex as usual.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    n = a.shape[1]
+    gram = np.asarray(gram, dtype=float)
+    h = np.asarray(h, dtype=float).reshape(-1)
+    n = h.size
     if n == 0:
         raise ValueError("need at least one column")
     if max_iter is None:
         max_iter = 10 * n + 100
 
-    if gram is None:
-        gram = a.T @ a
-    h = a.T @ b
-
     if candidate is not None:
         z, nu = _solve_free(gram, h, np.arange(n), candidate=candidate)
         if _feasible_and_stationary(gram, h, z, nu):
-            x = np.maximum(z, 0.0)
-            return x, float(np.linalg.norm(a @ x - b))
+            return np.maximum(z, 0.0)
 
     # Best single vertex is a feasible start.
     start = int(np.argmin(gram.diagonal() - 2.0 * h))
@@ -120,8 +114,7 @@ def simplex_least_squares(
         reduced[free] = 0.0
         entering = int(np.argmin(reduced))
         if reduced[entering] >= -_DUAL_TOL * max(1.0, float(np.abs(grad).max())):
-            distance = float(np.linalg.norm(a @ x - b))
-            return x, distance
+            return x
         factor.append(entering)
 
     raise SolverDidNotConverge(f"no optimality certificate after {max_iter} iterations")

@@ -268,7 +268,7 @@ def check_p2_roundtrip(d: int, n: int = 500) -> CheckResult:
         raise ValueError(f"d={d} is not a perfect square")
     pair = dft_pair(d)
     system = hull_system(pure_kd_set(pair))
-    basis = perturbation_basis(kd_real_basis(d), pair)
+    basis = perturbation_basis(None, pair)
     config = SampleConfig(d=d, seed=ROUNDTRIP_SEED, n_samples=n, mode="perturb")
     failures = []
     not_member = 0

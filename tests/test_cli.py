@@ -358,7 +358,7 @@ def test_entry_points_refuse_what_physical_memory_cannot_hold(tmp_path, monkeypa
         "span-rank": ["span-rank", "--d", str(d)],
         "pure": ["pure", "--d", str(d), "--out", str(tmp_path / "families")],
     }[command]
-    need = setup_bytes(d, False, command)
+    need = setup_bytes(d, command)
     monkeypatch.setattr(harness_module, "_physical_memory", lambda: need - 1)
     assert run(argv) == 2
     assert f"{command} at d={d} needs about" in capsys.readouterr().err
@@ -371,8 +371,8 @@ def test_span_rank_estimate_counts_only_the_chosen_families(monkeypatch, capsys)
     import kdclassical.harness as harness_module
     from kdclassical.harness import setup_bytes
 
-    need = setup_bytes(6, False, "span-rank", families=2)
-    assert need < setup_bytes(6, False, "span-rank")
+    need = setup_bytes(6, "span-rank", families=2)
+    assert need < setup_bytes(6, "span-rank")
     monkeypatch.setattr(harness_module, "_physical_memory", lambda: need)
     assert run(["span-rank", "--d", "6", "--sets", "CD"]) == 0
     assert capsys.readouterr().out.strip() == "11"
@@ -401,4 +401,4 @@ def test_entry_point_estimate_covers_what_it_allocates(tmp_path, capsys, command
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= setup_bytes(d, False, command) <= 2 * peak
+    assert peak <= setup_bytes(d, command) <= 2 * peak

@@ -369,7 +369,8 @@ def test_membership_kkt_certified_and_nnls_cross_checked():
         states.append(rho / rho.trace().real)
     for rho in states:
         vec = stack_real([rho]).reshape(-1)
-        x, dist = simplex_least_squares(mat, vec)
+        x = simplex_least_squares(mat.T @ mat, mat.T @ vec)
+        dist = float(np.linalg.norm(mat @ x - vec))
         assert kkt_optimality_gap(mat, vec, x) <= 1e-9
         # scipy on the trace-augmented system relaxes the constraint, so its
         # residual lower-bounds the constrained optimum; rescaling its
@@ -439,7 +440,7 @@ def test_solver_iteration_cap():
     from kdclassical import SolverDidNotConverge
 
     with pytest.raises(SolverDidNotConverge):
-        simplex_least_squares(a, b, max_iter=0)
+        simplex_least_squares(a.T @ a, a.T @ b, max_iter=0)
 
 
 def test_reconstruct_matches_the_sum_of_weighted_projectors():

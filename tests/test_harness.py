@@ -25,9 +25,10 @@ from kdclassical import (
     sample_hull_point,
     sample_kd_boundary,
 )
-from kdclassical.families import all_projectors
-from kdclassical.geometry import hull_system
-from kdclassical.harness import perturbation_basis, setup_bytes
+from kdclassical.families import FamilyMember, all_projectors
+from kdclassical.geometry import hull_system, stack_real
+from kdclassical.harness import perturbation_basis, setup_bytes, traceless_real_table_directions
+from kdclassical.kdreal import traceless_kd_real_block
 
 
 def test_sample_config_validation():
@@ -219,6 +220,59 @@ def test_direction_basis_rejects_one_bad_member():
         perturbation_basis(basis[:3] + [not_hermitian] + basis[3:], dft_pair(6))
 
 
+def test_direction_basis_checks_each_member_as_given():
+    # An imaginary multiple of the identity leaves the traceless part Hermitian, yet the member is not.
+    basis = kd_real_basis(6)
+    with pytest.raises(NotHermitian):
+        perturbation_basis(basis[:3] + [basis[3] + 1e-6j * np.eye(6)] + basis[4:], dft_pair(6))
+    with pytest.raises(ValueError, match="shape"):
+        perturbation_basis(basis[:3] + [np.eye(5)] + basis[4:], dft_pair(6))
+    with pytest.raises(ValueError, match="non-finite"):
+        perturbation_basis(basis[:3] + [np.full((6, 6), np.nan)] + basis[4:], dft_pair(6))
+
+
+def test_closed_form_block_is_checked_like_a_stacked_list(monkeypatch):
+    import kdclassical.harness as harness_module
+
+    def corrupted(d):
+        block = traceless_kd_real_block(d)
+        block[1, 7] += 1e-6  # the real part of cell (0, 1), alone: no longer Hermitian
+        return block
+
+    monkeypatch.setattr(harness_module, "traceless_kd_real_block", corrupted)
+    with pytest.raises(NotHermitian):
+        perturbation_basis(None, dft_pair(6))
+
+
+@pytest.mark.parametrize("d", range(2, 31))
+def test_closed_form_block_matches_the_stacked_basis_bit_for_bit(d):
+    eye = np.eye(d, dtype=complex)
+    listed = stack_real([f - (np.trace(f) / d) * eye for f in kd_real_basis(d)])
+    closed = traceless_kd_real_block(d)
+    assert closed.shape == listed.shape == (2 * d * d, kd_real_dimension(d))
+    # Bit patterns, so that a +0.0 in place of a -0.0 fails too.
+    assert np.array_equal(closed.view(np.uint64), listed.view(np.uint64))
+    assert (np.signbit(closed) & (closed == 0.0)).any() == (d > 2)
+    by_list = traceless_real_table_directions(kd_real_basis(d), d)
+    by_closed_form = traceless_real_table_directions(None, d)
+    assert np.array_equal(by_list.view(np.uint64), by_closed_form.view(np.uint64))
+    assert by_list.flags.f_contiguous and by_closed_form.flags.f_contiguous
+
+
+@pytest.mark.parametrize("mode", ["perturb", "ginibre"])
+def test_probe_builds_no_dense_projector_or_basis_matrix(monkeypatch, mode):
+    import kdclassical.harness as harness_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense projector or basis matrix built")
+
+    monkeypatch.setattr(FamilyMember, "projector", property(forbidden))
+    monkeypatch.setattr(harness_module, "kd_real_basis", forbidden)
+    monkeypatch.setattr(harness_module, "all_projectors", forbidden)
+    report = probe_conjecture(SampleConfig(d=30, seed=12721, n_samples=1, mode=mode))
+    assert sum(report.counts.values()) == 1 and report.solver_failures == 0
+
+
 def test_failed_solves_stay_out_of_worst_margin(tmp_path, monkeypatch):
     import kdclassical.harness as harness_module
 
@@ -237,25 +291,28 @@ def test_failed_solves_stay_out_of_worst_margin(tmp_path, monkeypatch):
 @pytest.mark.parametrize("d", [2, 6, 9, 12, 30])
 def test_setup_estimate_covers_the_built_arrays(d):
     pair = dft_pair(d)
-    directions = perturbation_basis(kd_real_basis(d), pair).directions
+    directions = perturbation_basis(None, pair).directions
     families = pure_kd_set(pair)
     projectors, _ = all_projectors(families)
     system = hull_system(families)
-    rank = directions.shape[1]
-    assert rank == kd_real_dimension(d) - 1
-    assert setup_bytes(d, True) - setup_bytes(d, False) == directions.nbytes
-    # The stacked matrix counts twice: ``stack_real`` holds it and its ``vstack`` copy at once.
-    built = sum(p.nbytes for p in projectors) + 2 * system.matrix.nbytes + system.gram.nbytes
-    assert setup_bytes(d, False) == built
+    m = kd_real_dimension(d)
+    assert directions.shape == (2 * d * d, m - 1)
+    # The traceless block and the SVD's left factor, both 2d^2 x m, are alive when the directions are copied out.
+    block_bytes = 2 * d * d * m * 8
+    # The Gram counts three times: it is computed from the complex overlaps V^dag V, n x n as well.
+    built = system.states.nbytes + system.weights.nbytes + 3 * system.gram.nbytes
+    assert setup_bytes(d, "ginibre") == built
+    assert setup_bytes(d, "perturb") == built + 2 * block_bytes + directions.nbytes
+    assert setup_bytes(d, "hull") == built + sum(p.nbytes for p in projectors)
 
 
 def test_probe_refuses_a_dimension_beyond_physical_memory(monkeypatch):
     import kdclassical.harness as harness_module
 
-    monkeypatch.setattr(harness_module, "_physical_memory", lambda: setup_bytes(6, False) - 1)
+    monkeypatch.setattr(harness_module, "_physical_memory", lambda: setup_bytes(6, "hull") - 1)
     with pytest.raises(TooLarge):
         probe_conjecture(SampleConfig(d=6, seed=1, n_samples=1, mode="hull"))
-    monkeypatch.setattr(harness_module, "_physical_memory", lambda: setup_bytes(6, False))
+    monkeypatch.setattr(harness_module, "_physical_memory", lambda: setup_bytes(6, "hull"))
     assert sum(probe_conjecture(SampleConfig(d=6, seed=1, n_samples=2, mode="hull")).counts.values()) == 2
     monkeypatch.undo()
-    assert setup_bytes(30, True) < harness_module._physical_memory()
+    assert setup_bytes(30, "perturb") < harness_module._physical_memory()

@@ -58,12 +58,16 @@ def test_singular_kkt_falls_back_to_minimum_norm_solution():
 
 
 def test_given_gram_gives_the_same_solution():
+    # The solver sees A only through G = A^T A and h = A^T b: rows of (A, b)
+    # that add nothing to either (zero rows) leave x unchanged.
     rng = np.random.default_rng(3)
     a = rng.standard_normal((30, 12))
     b = rng.standard_normal(30)
-    x, dist = simplex_least_squares(a, b)
-    x_g, dist_g = simplex_least_squares(a, b, gram=a.T @ a)
-    assert np.array_equal(x, x_g) and dist == dist_g
+    padded, padded_b = np.vstack([a, np.zeros((5, 12))]), np.append(b, np.zeros(5))
+    x = simplex_least_squares(a.T @ a, a.T @ b)
+    x_p = simplex_least_squares(padded.T @ padded, padded.T @ padded_b)
+    assert np.array_equal(x, x_p)
+    assert np.linalg.norm(a @ x - b) == np.linalg.norm(padded @ x_p - padded_b)
 
 
 def test_hull_system_gives_the_same_verdict_as_the_projector_list():
@@ -157,7 +161,8 @@ def test_factor_path_matches_the_factor_free_loop(kind, seed, monkeypatch):
 
     monkeypatch.setattr(_FreeSetFactor, "solve", counting_solve)
     monkeypatch.setattr(_FreeSetFactor, "rebuild", counting_rebuild)
-    x, dist = simplex_least_squares(a, b)
+    x = simplex_least_squares(a.T @ a, a.T @ b)
+    dist = float(np.linalg.norm(a @ x - b))
     monkeypatch.undo()
     x_ref, dist_ref = reference_simplex_least_squares(a, b)
     assert calls["factor"] > 0

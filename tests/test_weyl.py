@@ -30,6 +30,11 @@ def family_system(d):
     return hull_system(pure_kd_set(dft_pair(d)))
 
 
+def stacked(system):
+    """The stacked-real projector matrix that a family-built system does not keep, as a reference."""
+    return stack_real([np.outer(v, v.conj()) for v in system.states.T])
+
+
 def states(d, n=3):
     """n perturbation states (in the span) and n Ginibre states (off it)."""
     config = SampleConfig(d=d, seed=5, n_samples=n, mode="perturb")
@@ -65,13 +70,14 @@ def test_weyl_coefficients_round_trip_and_match_the_trace_definition(d):
 @pytest.mark.parametrize("d", [6, 12, 30])
 def test_min_norm_coefficients_and_off_span_distance_match_pinv_and_lstsq(d):
     system = family_system(d)
-    pinv = np.linalg.pinv(system.matrix)
+    matrix = stacked(system)
+    pinv = np.linalg.pinv(matrix)
     for rho in states(d):
         vec = stack_real([rho]).reshape(-1)
         coeffs = weyl_coefficients(rho)
         x_ref = pinv @ vec
-        sol, *_ = np.linalg.lstsq(system.matrix, vec, rcond=None)
-        residual = float(np.linalg.norm(system.matrix @ sol - vec))
+        sol, *_ = np.linalg.lstsq(matrix, vec, rcond=None)
+        residual = float(np.linalg.norm(matrix @ sol - vec))
         assert np.abs(system.min_norm_coefficients(coeffs) - x_ref).max() <= 1e-12
         assert abs(system.off_span_distance(coeffs) - residual) <= 1e-12
 
@@ -80,7 +86,10 @@ def test_projector_list_system_has_no_weyl_data():
     projs = [p for fam in pure_kd_set(dft_pair(6)) for p in fam.projectors()]
     by_list, by_families = hull_system(projs), family_system(6)
     assert by_list.states is None and by_list.weights is None
-    assert np.array_equal(by_list.matrix, by_families.matrix) and np.array_equal(by_list.gram, by_families.gram)
+    assert by_families.matrix is None and by_families.pinv_gram is None
+    assert np.array_equal(by_list.matrix, stacked(by_families))
+    # |<psi_j|psi_k>|^2 and the stacked inner products differ by roundoff only.
+    assert np.abs(by_list.gram - by_families.gram).max() <= 1e-14
 
 
 class StepCounter:
@@ -110,7 +119,12 @@ def decided_state(system, d):
 
 
 def plain_distance(system, rho):
-    return simplex_least_squares(system.matrix, stack_real([rho]).reshape(-1), gram=system.gram)[1]
+    """The distance of a solve without a candidate, computed as ``hull_membership`` computes it."""
+    if system.states is not None:
+        return system.residual(simplex_least_squares(system.gram, system.expectations(rho)), rho)
+    vec = stack_real([rho]).reshape(-1)
+    x = simplex_least_squares(system.gram, system.matrix.T @ vec)
+    return float(np.linalg.norm(system.matrix @ x - vec))
 
 
 def test_accepted_step_is_one_kkt_call_with_every_column_free(monkeypatch):
@@ -133,7 +147,7 @@ def test_accepted_step_is_one_kkt_call_with_every_column_free(monkeypatch):
 
 def null_vector(system):
     """A kernel vector of the stacked matrix, scaled to max-norm 1."""
-    _, sigma, vt = np.linalg.svd(system.matrix)
+    _, sigma, vt = np.linalg.svd(stacked(system) if system.matrix is None else system.matrix)
     v = vt[-1]
     assert sigma[-1] <= 1e-10 * sigma[0]
     return v / np.abs(v).max()
@@ -233,6 +247,32 @@ def test_list_and_family_systems_give_the_same_verdicts(d):
         one, other = hull_membership(rho, by_list), hull_membership(rho, by_families)
         assert one.member == other.member
         assert abs(one.distance - other.distance) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [6, 9, 12, 30])
+def test_rank_one_system_agrees_with_its_stacked_reference(d):
+    # The reference is the stacked layout: h = A^T vec(rho), G = A^T A and
+    # the distance ||A x - vec(rho)||, with the same Weyl candidate.
+    system = family_system(d)
+    matrix = stacked(system)
+    gram = matrix.T @ matrix
+    assert np.abs(system.gram - gram).max() <= 1e-12
+    config = SampleConfig(d=d, seed=12721, n_samples=1, mode="perturb")
+    extra = [sample_kd_boundary(config, kd_real_basis(d), index=235)] if d == 6 else []
+    for rho in states(d) + extra:
+        vec = stack_real([rho]).reshape(-1)
+        h = matrix.T @ vec
+        assert np.abs(system.expectations(rho) - h).max() <= 1e-12
+        weyl = weyl_coefficients(rho)
+        candidate = system.min_norm_coefficients(weyl) if system.off_span_distance(weyl) <= 1e-9 else None
+        x = simplex_least_squares(gram, h, candidate=candidate)
+        reference = float(np.linalg.norm(matrix @ x - vec))
+        assert abs(system.residual(x, rho) - reference) <= 1e-12
+        verdict = hull_membership(rho, system)
+        assert verdict.member == (reference <= 1e-9)
+        assert abs(verdict.distance - reference) <= 1e-12
+    if d == 6:
+        assert 0.0227 < verdict.distance < 0.0229  # sample 235 lies outside the hull
 
 
 def test_accepted_list_candidate_is_one_kkt_call(monkeypatch):
