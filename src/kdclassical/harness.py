@@ -33,8 +33,8 @@ from .engine import classicality, kd_table
 from .exceptions import BadDimension, SolverDidNotConverge, TooLarge, ZeroDirection
 from .families import all_projectors, factorizations, pure_kd_set
 from .geometry import hull_membership, hull_system, stack_real
-# kd_real_basis is not called here, but benchmarks/tracing.py wraps it under this module.
-from .kdreal import CONDITION_TOL, kd_real_basis, kd_real_condition, traceless_kd_real_block  # noqa: F401
+# kd_real_basis and kd_real_condition are not called here, but benchmarks/tracing.py wraps them under this module.
+from .kdreal import CONDITION_TOL, kd_real_basis, kd_real_condition, kd_real_parts_condition, traceless_kd_real_block  # noqa: F401
 from .linalg import Tolerances, matrix_to_json
 
 MODES = ("hull", "perturb", "ginibre")
@@ -116,11 +116,12 @@ ZERO_DIRECTION_NORM = 1e-14
 def traceless_real_table_directions(f_basis, d: int) -> np.ndarray:
     """Orthonormal stacked-real basis of the traceless part of span(f_basis).
 
-    ``f_basis`` is a list of operators with all-real tables, stacked here, or
-    None for the whole all-real-table space, whose traceless block comes in
-    closed form (:func:`~kdclassical.kdreal.traceless_kd_real_block`). Either
-    block is checked, Hermiticity and the entry condition per column, before
-    its SVD.
+    ``f_basis`` is None for the whole all-real-table space, whose traceless
+    block comes in closed form
+    (:func:`~kdclassical.kdreal.traceless_kd_real_block`), or a list of
+    operators with all-real tables spanning a subspace of it, stacked here.
+    Either block is checked, Hermiticity and the entry condition per column,
+    before its SVD.
     """
     if f_basis is None:
         block = traceless_kd_real_block(d)
@@ -129,8 +130,8 @@ def traceless_real_table_directions(f_basis, d: int) -> np.ndarray:
     else:
         block = stack_real([_traceless(f, d) for f in f_basis])
     cells = d * d
-    re, im = block[:cells].T.reshape(-1, d, d), block[cells:].T.reshape(-1, d, d)
-    if not kd_real_condition(re, CONDITION_TOL, imag=im):
+    re, im = block[:cells].T.reshape(-1, d, d), block[cells:].T.reshape(-1, d, d)  # views, one (d, d) per column
+    if not kd_real_parts_condition(re, im, CONDITION_TOL):
         raise ValueError("basis member does not have an entrywise-real table")
     u, sigma, _ = np.linalg.svd(block, full_matrices=False)
     # The singular values are sorted, so the kept ones are a prefix. It is
@@ -152,8 +153,9 @@ class PerturbationBasis:
     """Traceless real-table directions and the basis pair, built once for many draws.
 
     ``sample_kd_boundary`` accepts one in place of an operator basis and then
-    skips rebuilding the directions; the draws are identical either way, and
-    identical for ``kd_real_basis(d)`` and for None, its closed form.
+    skips rebuilding the directions; the draws are identical either way. The
+    whole space is asked for with None: the list ``kd_real_basis(d)`` gives
+    the same directions bit for bit, after building every member densely.
     """
 
     pair: BasisPair
@@ -161,7 +163,7 @@ class PerturbationBasis:
 
 
 def perturbation_basis(f_basis, pair: BasisPair) -> PerturbationBasis:
-    """Directions of a list of operators with all-real tables, or of the whole space for None."""
+    """Directions of the whole all-real-table space for None, or of a list of operators spanning a subspace of it."""
     return PerturbationBasis(pair=pair, directions=traceless_real_table_directions(f_basis, pair.dim))
 
 
@@ -179,8 +181,9 @@ def perturbation_state(f: np.ndarray, x: float, d: int) -> np.ndarray:
 def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndarray:
     """One line-perturbation sample rho(x) with x drawn uniformly on [0, x+].
 
-    ``f_basis`` is a list of operators with all-real tables, or a
-    :class:`PerturbationBasis` built from one with :func:`perturbation_basis`.
+    ``f_basis`` is None for the whole all-real-table space, a list of
+    operators with all-real tables for a subspace of it, or a
+    :class:`PerturbationBasis` built from either with :func:`perturbation_basis`.
     """
     d = config.d
     basis = f_basis if isinstance(f_basis, PerturbationBasis) else perturbation_basis(f_basis, dft_pair(d))

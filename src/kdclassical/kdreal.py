@@ -17,7 +17,7 @@ import numpy as np
 
 from .dft import BasisPair
 from .exceptions import NotHermitian
-from .linalg import require_hermitian
+from .linalg import _checked, require_hermitian
 
 CONDITION_TOL = 1e-9
 
@@ -89,34 +89,41 @@ def entry_partition(d: int) -> EntryPartition:
     return EntryPartition(dim=d, categories=tuple(categories), diagonal=diagonal)
 
 
-def kd_real_condition(f: np.ndarray, tol: float = CONDITION_TOL, imag: np.ndarray | None = None) -> bool:
+def kd_real_condition(f: np.ndarray, tol: float = CONDITION_TOL) -> bool:
     """Entry condition F_{i(i+k)} = F_{(i-k)i} for all i, k in Z_d.
 
     ``f`` is one operator or a stack ``(m, d, d)`` of them; a stack meets the
     condition when every member does, and raises NotHermitian when any
-    member is not Hermitian within ``tol``. With ``imag`` given, ``f`` and
-    ``imag`` are the real and imaginary parts of the operators, checked
-    without forming a complex array (the columns of a stacked-real block);
-    each |z| is then hypot(Re z, Im z).
+    member is not Hermitian within ``tol``.
     """
-    if imag is not None:
-        re, im = f, imag
-        if not (np.isfinite(re).all() and np.isfinite(im).all()):
-            raise ValueError("matrix has non-finite entries")
-        dev = float(np.hypot(re - re.swapaxes(-1, -2), im + im.swapaxes(-1, -2)).max())
-        if dev > tol:
-            raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
-        d = re.shape[-1]
-        idx = np.arange(d)
-        cells, partners = (..., idx, (idx + idx[:, None]) % d), (..., (idx - idx[:, None]) % d, idx)
-        return float(np.hypot(re[cells] - re[partners], im[cells] - im[partners]).max()) <= tol
-    a = require_hermitian(f, tol)
-    d = a.shape[-1]
+    a = np.asarray(f, dtype=np.complex128)
+    return kd_real_parts_condition(a.real, a.imag, tol)
+
+
+def kd_real_parts_condition(re: np.ndarray, im: np.ndarray, tol: float = CONDITION_TOL) -> bool:
+    """:func:`kd_real_condition` of the operators with real parts ``re`` and imaginary parts ``im``.
+
+    Views of a stacked-real block are checked without a complex copy of the
+    block. Each deviation is written into one complex buffer and measured
+    with numpy's complex absolute value, whose last bits differ from those
+    of ``np.hypot``.
+    """
+    ndim = 3 if re.ndim == 3 else 2
+    _checked(re, ndim)
+    _checked(im, ndim)
+    z = np.empty(re.shape, dtype=np.complex128)
+    np.subtract(re, re.swapaxes(-1, -2), out=z.real)
+    np.add(im, im.swapaxes(-1, -2), out=z.imag)
+    dev = float(np.abs(z).max())
+    if dev > tol:
+        raise NotHermitian(f"matrix deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+    d = re.shape[-1]
     idx = np.arange(d)
-    k = idx[:, None]  # one row of cells per shift
-    dev = a[..., idx, (idx + k) % d]
-    dev -= a[..., (idx - k) % d, idx]
-    return float(np.abs(dev).max()) <= tol
+    # One row of cells per shift k: cell (i, i+k) and its partner (i-k, i).
+    cells, partners = (..., idx, (idx + idx[:, None]) % d), (..., (idx - idx[:, None]) % d, idx)
+    np.subtract(re[cells], re[partners], out=z.real)
+    np.subtract(im[cells], im[partners], out=z.imag)
+    return float(np.abs(z).max()) <= tol
 
 
 def b_side_condition(g: np.ndarray, pair: BasisPair, tol: float = CONDITION_TOL) -> bool:

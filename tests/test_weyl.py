@@ -87,9 +87,31 @@ def test_projector_list_system_has_no_weyl_data():
     by_list, by_families = hull_system(projs), family_system(6)
     assert by_list.states is None and by_list.weights is None
     assert by_families.matrix is None and by_families.pinv_gram is None
-    assert np.array_equal(by_list.matrix, stacked(by_families))
-    # |<psi_j|psi_k>|^2 and the stacked inner products differ by roundoff only.
-    assert np.abs(by_list.gram - by_families.gram).max() <= 1e-14
+    matrix, states = stacked(by_families), by_families.states
+    assert np.array_equal(by_list.matrix, matrix)
+    # Each Gram is bit for bit its own formula: A^T A for the list, |V^H V|^2 for the families.
+    assert np.array_equal(by_list.gram, matrix.T @ matrix)
+    assert np.array_equal(by_families.gram, np.abs(states.conj().T @ states) ** 2)
+    # The two formulas round differently, so the two Grams cannot be equal bit for bit;
+    # here they differ by 3 ulps of 1 at most. The seeded verdicts they feed are pinned below.
+    assert np.abs(by_list.gram - by_families.gram).max() <= 8 * np.finfo(float).eps
+
+
+def test_ginibre_d6_verdicts_are_those_of_the_stacked_gram():
+    # The ginibre-d6 benchmark stream (seed 12721). Every sample is a non-member at the
+    # distance that the stacked Gram A^T A gives (the list-built system); the sum and the
+    # extremes were recorded when family-built systems still kept A and A^T A.
+    by_list, by_families = list_system(6), family_system(6)
+    distances = []
+    for index in range(250):
+        rho = _ginibre_state(_rng(12721, index), 6)
+        one, other = hull_membership(rho, by_list), hull_membership(rho, by_families)
+        assert not one.member and not other.member
+        assert abs(one.distance - other.distance) <= 1e-12
+        distances.append(other.distance)
+    assert abs(sum(distances) - 76.63668921458381) <= 1e-10
+    assert abs(min(distances) - 0.19605923524620106) <= 1e-12
+    assert abs(max(distances) - 0.4223987295836358) <= 1e-12
 
 
 class StepCounter:
