@@ -270,8 +270,9 @@ def _cmd_member(args) -> int:
     if args.d is not None and args.d != d:
         raise ValidationError(f"state has dimension {d}, --d says {args.d}")
     require_memory(d, "member")
-    projectors, labels = all_projectors(pure_kd_set(dft_pair(d)))
-    verdict = hull_membership(rho, projectors, default_tolerances(), labels=labels)
+    families = pure_kd_set(dft_pair(d))
+    labels = [label for fam in families for label in fam.labels()]
+    verdict = hull_membership(rho, families, default_tolerances(), labels=labels)
     print(json.dumps(verdict.to_json()))
     return EXIT_OK
 
@@ -290,6 +291,7 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    require_memory(args.d, "verify")
     results = run_dimension_suite(args.d)
     if args.json:
         print(

@@ -14,13 +14,11 @@ import numpy as np
 
 from .dft import BasisPair
 from .exceptions import MixedDimensions, NotNormalized
-from .linalg import DEFAULT_TOL, Tolerances, require_hermitian
+from .linalg import DEFAULT_TOL, INPUT_GATE_TOL, Tolerances, require_hermitian
 
 # Coefficients of enumerated classical states have modulus >= 1/sqrt(d),
 # far above this floor for any dimension handled here.
 SUPPORT_TOL = 1e-8
-
-HERMITIAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,9 +54,7 @@ class ClassicalityVerdict:
 
 def kd_table(rho: np.ndarray, pair: BasisPair) -> KDTable:
     """Table with values[i][j] = conj(U_ij) * (rho @ U)[i, j]."""
-    a = require_hermitian(rho, HERMITIAN_TOL)
-    if a.shape[0] != pair.dim:
-        raise MixedDimensions(f"operator has dim {a.shape[0]}, basis pair has dim {pair.dim}")
+    a = require_hermitian(rho, INPUT_GATE_TOL, pair.dim)
     values = pair.transition.conj() * (a @ pair.transition)
     values.setflags(write=False)
     return KDTable(dim=pair.dim, values=values, source_trace=float(a.trace().real))

@@ -25,11 +25,8 @@ from .exceptions import (
     NotUnitTrace,
 )
 from .families import PureFamily, family_states, lettered_families, member_labels, prime_pair
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, require_hermitian
+from .linalg import DEFAULT_TOL, INPUT_GATE_TOL, Tolerances, as_matrix, require_hermitian
 from .solver import simplex_least_squares
-
-# Input gates are fixed; the Tolerances fields govern verdict acceptance.
-INPUT_GATE_TOL = 1e-9
 
 # Gram eigenvalues at or below this fraction of the largest are taken as zero
 # in ``HullSystem.pinv_gram``. For the family lists the nonzero spectrum lies
@@ -92,7 +89,9 @@ class HullSystem:
     stacked-real column per projector (``gram`` is ``matrix.T @ matrix``),
     and ``pinv_gram``, the pseudo-inverse of ``gram`` (see
     :data:`PINV_CUTOFF`); then pinv(matrix) @ vec(rho) =
-    pinv_gram @ (matrix.T @ vec(rho)).
+    pinv_gram @ (matrix.T @ vec(rho)). That layout's only job is to serve
+    callers that pass a projector list of their own: every hull and span
+    query the package makes itself runs on a family-built system.
     """
 
     gram: np.ndarray
@@ -100,6 +99,11 @@ class HullSystem:
     weights: np.ndarray | None = None
     matrix: np.ndarray | None = None
     pinv_gram: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        """d of the d x d operators the system describes."""
+        return self.states.shape[0] if self.states is not None else math.isqrt(self.matrix.shape[0] // 2)
 
     def off_span_distance(self, coeffs: np.ndarray) -> float:
         """Frobenius distance of rho from the span, from its Weyl coefficients."""
@@ -208,16 +212,10 @@ def span_project(rho: np.ndarray, projectors) -> tuple[np.ndarray, float]:
     a = as_matrix(rho)
     if not projectors:
         return np.zeros_like(a), float(np.linalg.norm(a))
-    coeffs, residual = _span_coefficients(a, projectors)
-    return reconstruct(projectors, coeffs), residual
-
-
-def _span_coefficients(rho: np.ndarray, projectors) -> tuple[np.ndarray, float]:
     mat = stack_real(projectors)
-    vec = stack_real([rho]).reshape(-1)
+    vec = stack_real([a]).reshape(-1)
     coeffs, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    residual = float(np.linalg.norm(mat @ coeffs - vec))
-    return coeffs, residual
+    return reconstruct(projectors, coeffs), float(np.linalg.norm(mat @ coeffs - vec))
 
 
 def quadruple_violation(table: KDTable, p: int) -> float:
@@ -293,12 +291,7 @@ def _certificate(rho, states: np.ndarray, labels, coeffs) -> DecompositionCertif
     coeffs = np.where(np.abs(coeffs) < max(1e-14, len(coeffs) * 1e-16), 0.0, coeffs)
     coeffs = np.maximum(coeffs, 0.0)
     residual = float(np.linalg.norm((states * coeffs) @ states.conj().T - rho))
-    return DecompositionCertificate(
-        labels=tuple(labels),
-        coefficients=coeffs,
-        residual=residual,
-        coefficient_sum=float(coeffs.sum()),
-    )
+    return DecompositionCertificate(tuple(labels), coeffs, residual, float(coeffs.sum()))
 
 
 def decompose_pq_three(
@@ -309,11 +302,13 @@ def decompose_pq_three(
 ) -> DecompositionCertificate:
     """Certificate over three of the four families at d = pq, p != q prime.
 
-    The state is projected onto the real span of the chosen families (any
-    real solution works); per-class minima of the family coefficients are
-    then folded through the resolution identities, which quotients out the
-    span's kernel, so the certificate is independent of the particular
-    least-squares solution.
+    The state's span coefficients are its min-norm least-squares
+    coefficients over the chosen families, in closed form from the frame
+    operator of a family-built :class:`HullSystem` (Weyl-diagonal for any
+    subset of families, with c counting the chosen ones). Per-class minima
+    of the family coefficients are then folded through the resolution
+    identities, which quotients out the span's kernel, so the certificate
+    is that of any least-squares solution.
     """
     d = pair.dim
     primes = prime_pair(d)
@@ -323,14 +318,13 @@ def decompose_pq_three(
     chosen = tuple(sets)
     if len(chosen) != 3 or len(set(chosen)) != 3 or not set(chosen) <= {"A", "B", "C", "D"}:
         raise ValueError("sets must be three distinct labels among A, B, C, D")
+    rho = require_hermitian(rho, INPUT_GATE_TOL, d)
 
     fams = lettered_families(pair, chosen)
-    projectors = [proj for name in chosen for proj in fams[name].projectors()]
+    system = hull_system([fams[name] for name in chosen])
     labels = [label for name in chosen for label in fams[name].labels()]
-    states = np.hstack([fams[name].vectors() for name in chosen])
-
-    rho = require_hermitian(rho, INPUT_GATE_TOL)
-    coeffs, span_residual = _span_coefficients(rho, projectors)
+    weyl = weyl_coefficients(rho)
+    span_residual = system.off_span_distance(weyl)
     if span_residual > tol.recon:
         raise NotInSpan(f"projection residual {span_residual:.3e} exceeds {tol.recon:.1e}")
     verdict = classicality(kd_table(rho, pair), tol)
@@ -339,35 +333,27 @@ def decompose_pq_three(
             f"table has min real {verdict.min_real:.3e}, max |imag| {verdict.max_imag_abs:.3e}"
         )
 
-    parts = {name: arr for name, arr in zip(chosen, np.split(coeffs, 3))}
+    parts = dict(zip(chosen, np.split(system.min_norm_coefficients(weyl), 3)))
     idx = np.arange(d)
     if "C" in parts and "D" in parts:
-        gamma = parts["C"].reshape(p, q)
-        eta = parts["D"].reshape(q, p)
-        if "B" in parts:
-            g0 = gamma.min(axis=0)  # per b-class s = j mod q
-            e0 = eta.min(axis=0)  # per b-class s' = j mod p
-            parts["C"] = (gamma - g0[None, :]).reshape(-1)
-            parts["D"] = (eta - e0[None, :]).reshape(-1)
-            parts["B"] = parts["B"] + g0[idx % q] + e0[idx % p]
-        else:
-            g0 = gamma.min(axis=1)  # per a-class m = i mod p
-            e0 = eta.min(axis=1)  # per a-class m' = i mod q
-            parts["C"] = (gamma - g0[:, None]).reshape(-1)
-            parts["D"] = (eta - e0[:, None]).reshape(-1)
-            parts["A"] = parts["A"] + g0[idx % p] + e0[idx % q]
+        # Per b-class (s = j mod q for C, j mod p for D) into B, or per a-class into A.
+        axis, basis = (0, "B") if "B" in parts else (1, "A")
+        gamma, eta = parts["C"].reshape(p, q), parts["D"].reshape(q, p)
+        g0, e0 = gamma.min(axis=axis), eta.min(axis=axis)
+        parts["C"] = (gamma - np.expand_dims(g0, axis)).reshape(-1)
+        parts["D"] = (eta - np.expand_dims(e0, axis)).reshape(-1)
+        parts[basis] = parts[basis] + g0[idx % g0.size] + e0[idx % e0.size]
     else:
         fam_name = "C" if "C" in parts else "D"
         fp, fq = (p, q) if fam_name == "C" else (q, p)
-        lam, mu = parts["A"], parts["B"]
-        l0 = np.array([lam[m::fp].min() for m in range(fp)])
-        u0 = np.array([mu[s::fq].min() for s in range(fq)])
-        parts["A"] = lam - l0[idx % fp]
-        parts["B"] = mu - u0[idx % fq]
+        l0 = parts["A"].reshape(fq, fp).min(axis=0)  # per a-class m = i mod fp
+        u0 = parts["B"].reshape(fp, fq).min(axis=0)  # per b-class s = j mod fq
+        parts["A"] = parts["A"] - l0[idx % fp]
+        parts["B"] = parts["B"] - u0[idx % fq]
         parts[fam_name] = parts[fam_name] + (l0[:, None] + u0[None, :]).reshape(-1)
 
     shifted = np.concatenate([parts[name] for name in chosen])
-    return _certificate(rho, states, labels, shifted)
+    return _certificate(rho, system.states, labels, shifted)
 
 
 def hull_membership(
@@ -378,9 +364,10 @@ def hull_membership(
 ) -> MembershipVerdict:
     """Distance minimization over convex combinations of the projector list.
 
-    ``projectors`` is a list of projectors, or a :class:`HullSystem` built
-    with :func:`hull_system` when many states are tested against the same
-    list. The solver works on the Gram and h_k = <P_k, rho>, computed once
+    ``projectors`` is a list of projectors or of families, or a
+    :class:`HullSystem` built with :func:`hull_system` from either when many
+    states are tested against it; a state of another dimension raises
+    MixedDimensions before any arithmetic on it. The solver works on the Gram and h_k = <P_k, rho>, computed once
     per query: from the state vectors for a system built from families,
     from the stacked matrix for one built from a projector list. Its first
     step is the state's min-norm coefficients, which it keeps when they
@@ -389,11 +376,11 @@ def hull_membership(
     span), and from ``pinv_gram`` for one built from a projector list. The
     distance is computed in primal coordinates.
     """
-    a = require_hermitian(rho, INPUT_GATE_TOL)
+    system = projectors if isinstance(projectors, HullSystem) else hull_system(projectors)
+    a = require_hermitian(rho, INPUT_GATE_TOL, system.dim)
     trace = complex(a.trace())
     if abs(trace - 1.0) > INPUT_GATE_TOL:
         raise NotUnitTrace(f"trace is {trace!r}, expected 1")
-    system = projectors if isinstance(projectors, HullSystem) else hull_system(projectors)
     if system.states is not None:
         h = system.expectations(a)
         weyl = weyl_coefficients(a)
@@ -405,15 +392,8 @@ def hull_membership(
         h = system.matrix.T @ vec
         coeffs = simplex_least_squares(system.gram, h, candidate=system.pinv_gram @ h)
         distance = float(np.linalg.norm(system.matrix @ coeffs - vec))
-    member = distance <= tol.recon
-    certificate = None
-    if member:
-        if labels is None:
-            labels = [f"P[{k}]" for k in range(len(coeffs))]
-        certificate = DecompositionCertificate(
-            labels=tuple(labels),
-            coefficients=coeffs,
-            residual=distance,
-            coefficient_sum=float(coeffs.sum()),
-        )
-    return MembershipVerdict(member=member, certificate=certificate, distance=distance)
+    if not distance <= tol.recon:  # NaN included
+        return MembershipVerdict(member=False, certificate=None, distance=distance)
+    labels = tuple(labels) if labels is not None else tuple(f"P[{k}]" for k in range(len(coeffs)))
+    certificate = DecompositionCertificate(labels, coeffs, distance, float(coeffs.sum()))
+    return MembershipVerdict(member=True, certificate=certificate, distance=distance)

@@ -212,7 +212,7 @@ _SETUP_ARRAYS = {
     "hull": ("states", "overlaps", "gram", "projectors"),
     "perturb": ("states", "overlaps", "gram", "directions"),
     "ginibre": ("states", "overlaps", "gram"),
-    "member": ("projectors", "stack", "gram", "eigh"),
+    "member": ("states", "overlaps", "gram", "copies", "factor"),
     "span-rank": ("projectors", "flat"),
     "pure": ("json",),
 }
@@ -222,8 +222,8 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
     """Bytes of the arrays ``command`` builds at dimension d, computed without building them.
 
     ``command`` is a probe mode ("hull", "perturb", "ginibre"), "member",
-    "span-rank" or "pure". With n = d x ``families`` projectors (all d tau(d)
-    by default):
+    "span-rank", "pure" or "verify". With n = d x ``families`` projectors
+    (all d tau(d) by default):
 
     - states: the d x n state vectors (complex) and the d x d Weyl weights
       of a family-built hull system;
@@ -233,26 +233,35 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
     - directions: the 2d^2 x m traceless block, m = d + sum_k gcd(k, d)
       being the real-table dimension, the SVD's left factor of the same
       shape, and the 2d^2 x (m - 1) directions copied out of it;
-    - stack: the stacked matrix and its ``vstack`` copy (2 x 2d^2 x n
-      reals), both alive with the projectors inside ``stack_real``;
-    - eigh: the Gram's eigenvectors with LAPACK's workspace of about twice
-      as much, then the eigenvectors with the pseudo-inverse (3 n^2 reals);
+    - copies: nine more d x n complex arrays of state vectors: the
+      families' own, their per-family copies that are stacked, and V^dag
+      for the overlaps, then two per pass over the states in a query (h,
+      the min-norm step, the residual);
+    - factor: the solver's n x n inverse Cholesky factor, built when the
+      min-norm step does not decide the query;
     - flat: the n x d^2 real rows of ``real_span_rank``, the list they are
       built from and the SVD's copy (3 n d^2 reals);
     - json: one family of d members written by ``kd pure``, 512 bytes per
       matrix entry (its Python floats and lists, then its text as str and
       as bytes: about 380 bytes as tracemalloc counts them).
+
+    "verify" runs its checks one after another, so its estimate is the
+    largest of them: the real-table block of m columns with the dense
+    basis built from it (32 m d^2 bytes), and the perturb and hull probe
+    set-ups, which the round-trip and probe checks build.
     """
     n = d * (len(factorizations(d)) if families is None else families)
     m = d + sum(math.gcd(k, d) for k in range(1, d))
+    if command == "verify":
+        return max(32 * m * d * d, setup_bytes(d, "perturb"), setup_bytes(d, "hull"))
     sizes = {
         "states": n * d * 16 + d * d * 8,
         "overlaps": n * n * 16,
         "gram": n * n * 8,
         "projectors": n * d * d * 16,
         "directions": 2 * d * d * (3 * m - 1) * 8,
-        "stack": 2 * 2 * d * d * n * 8,
-        "eigh": 3 * n * n * 8,
+        "copies": 9 * n * d * 16,
+        "factor": n * n * 8,
         "flat": 3 * n * d * d * 8,
         "json": d**3 * 512,
     }

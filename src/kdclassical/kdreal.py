@@ -19,7 +19,7 @@ from .dft import BasisPair
 from .exceptions import NotHermitian
 from .linalg import _checked, require_hermitian
 
-CONDITION_TOL = 1e-9
+CONDITION_TOL = 1e-9  # far above the roundoff of entry differences, far below a defect (the verify battery bumps 1e-3)
 
 
 @dataclass(frozen=True)

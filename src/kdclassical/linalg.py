@@ -62,10 +62,18 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
     return float(np.abs(a - a.conj().T).max()) <= tol
 
 
-def require_hermitian(m: np.ndarray, tol: float) -> np.ndarray:
-    """One square matrix, or a stack ``(k, d, d)`` of them, checked Hermitian within ``tol``."""
+INPUT_GATE_TOL = 1e-9  # fixed gate on a state's Hermiticity and trace; Tolerances fields govern verdicts
+
+
+def require_hermitian(m: np.ndarray, tol: float, dim: int | None = None) -> np.ndarray:
+    """One square matrix, or a stack ``(k, d, d)`` of them, checked Hermitian within ``tol``.
+
+    With ``dim`` given, a d other than ``dim`` raises MixedDimensions before any arithmetic.
+    """
     a = np.asarray(m, dtype=np.complex128)
     a = _checked(a, 3 if a.ndim == 3 else 2)
+    if dim is not None and a.shape[-1] != dim:
+        raise MixedDimensions(f"operator has dim {a.shape[-1]}, expected {dim}")
     adjoint = np.swapaxes(a, -1, -2).conj()
     adjoint -= a
     dev = float(np.abs(adjoint).max())

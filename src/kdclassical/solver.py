@@ -17,13 +17,12 @@ free columns. A dropped column (about one per solve on the probe
 workloads, against up to 137 entering ones at d = 30) rebuilds R from a
 Cholesky factorization of the reduced free set. When a pivot is not
 safely positive (a column nearly in the span of the free ones) the factor
-is marked invalid until the next rebuild, and the step falls back to an LU
-solve of the bordered KKT matrix, and from there to the minimum-norm
-least-squares solution when LU finds it singular; that fallback is also
-taken when the factor gives a non-finite step. Termination is by the KKT
-optimality test. The caller computes the distance ||A x - b|| from the
-returned x in its own coordinates, since x.G x - 2 h.x + ||b||^2 loses
-the small distances to cancellation.
+is marked invalid until the next rebuild, and the step falls back to the
+minimum-norm least-squares solution of the bordered KKT matrix, singular
+or not; that fallback is also taken when the factor gives a non-finite
+step. Termination is by the KKT optimality test. The caller computes the
+distance ||A x - b|| from the returned x in its own coordinates, since
+x.G x - 2 h.x + ||b||^2 loses the small distances to cancellation.
 
 A caller that knows pinv(A) b in closed form (the Weyl min-norm step of a
 family-built :class:`~kdclassical.geometry.HullSystem`) passes it as
@@ -39,8 +38,8 @@ import numpy as np
 
 from .exceptions import SolverDidNotConverge
 
-_FEAS_TOL = 1e-12
-_DUAL_TOL = 1e-11
+_FEAS_TOL = 1e-12  # step entries sum to one, so their roundoff is a few ulps times n, far below this
+_DUAL_TOL = 1e-11  # relative to max |grad|; a reduced cost sums n Gram products, so it rounds more than a step entry
 # The Cholesky pivot delta^2 = G_jj - l.l of an entering column j counts as
 # safely positive when delta^2 > _PIVOT_TOL * G_jj, far above the roundoff
 # of that difference; below it the factor is not used. On the probe
@@ -211,8 +210,8 @@ def _solve_free(
     min-norm solution and is the step as it stands, with nu = 0; the solver
     checks it before using it. ``factor`` is the solver's factor of this
     free set; when it is valid and gives a finite step, that step is
-    returned. Otherwise the bordered KKT matrix is solved by LU, and by
-    least squares when LU fails.
+    returned. Otherwise the bordered KKT matrix is solved by least squares,
+    which gives its minimum-norm solution when it is singular.
     """
     if candidate is not None:
         return np.asarray(candidate, dtype=float), 0.0
@@ -225,11 +224,5 @@ def _solve_free(
     kkt = np.ones((k + 1, k + 1))
     kkt[:k, :k] = gram.take(idx, axis=0).take(idx, axis=1)
     kkt[k, k] = 0.0
-    rhs = np.append(h.take(idx), 1.0)
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError:
-        sol = None
-    if sol is None or not np.isfinite(sol).all():
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    sol, *_ = np.linalg.lstsq(kkt, np.append(h.take(idx), 1.0), rcond=None)
     return sol[:k], float(sol[k])

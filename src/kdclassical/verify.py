@@ -324,13 +324,12 @@ def check_pq_three_decomposition(d: int, n: int = 200, sets=("B", "C", "D")) -> 
     """Hull points of three families reconstructed by the fold construction."""
     pair = dft_pair(d)
     fams = lettered_families(pair, sets)
-    projectors = [p for name in sets for p in fams[name].projectors()]
+    states = np.hstack([fams[name].vectors() for name in sets])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=PQ3_SEED, spawn_key=(d,)))
     failures = 0
     worst = 0.0
     for _ in range(n):
-        weights = rng.dirichlet(np.ones(len(projectors)))
-        rho = sum(w * p for w, p in zip(weights, projectors))
+        rho = (states * rng.dirichlet(np.ones(states.shape[1]))) @ states.conj().T
         cert = decompose_pq_three(rho, pair, sets=sets)
         worst = max(worst, cert.residual)
         if not (

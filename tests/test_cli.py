@@ -9,9 +9,22 @@ import numpy as np
 import pytest
 
 import kdclassical
-from kdclassical import dft_pair, matrix_from_json, matrix_to_json, pure_kd_set
+from kdclassical import (
+    FamilyMember,
+    SampleConfig,
+    decompose_pq_three,
+    dft_pair,
+    geometry,
+    hull_membership,
+    kd_real_basis,
+    matrix_from_json,
+    matrix_to_json,
+    pure_kd_set,
+    sample_kd_boundary,
+)
 from kdclassical.cli import run
-from kdclassical.families import all_projectors
+from kdclassical.families import all_projectors, lettered_families
+from kdclassical.harness import _ginibre_state, _rng
 
 
 def write_state(path, matrix):
@@ -334,6 +347,13 @@ def run_capped(argv):
     return int(code), float(seconds), done.stderr
 
 
+def test_verify_beyond_physical_memory_exits_2_at_once():
+    # d = 2520: the real-table block and basis alone take terabytes.
+    code, seconds, stderr = run_capped(["verify", "--d", "2520"])
+    assert code == 2 and seconds < 1.0
+    assert "verify at d=2520 needs about" in stderr
+
+
 def test_probe_beyond_physical_memory_exits_2_at_once():
     # d = 2520 has N = 120,960 family projectors, terabytes of set-up arrays.
     code, seconds, stderr = run_capped(["probe", "--d", "2520", "--mode", "perturb", "--samples", "1", "--seed", "1"])
@@ -347,7 +367,7 @@ def test_span_rank_beyond_physical_memory_exits_2_at_once():
     assert "span-rank at d=2520 needs about" in stderr
 
 
-@pytest.mark.parametrize("command", ["member", "span-rank", "pure"])
+@pytest.mark.parametrize("command", ["member", "span-rank", "pure", "verify"])
 def test_entry_points_refuse_what_physical_memory_cannot_hold(tmp_path, monkeypatch, capsys, command):
     import kdclassical.harness as harness_module
     from kdclassical.harness import setup_bytes
@@ -357,6 +377,7 @@ def test_entry_points_refuse_what_physical_memory_cannot_hold(tmp_path, monkeypa
         "member": ["member", "--state", write_state(tmp_path / "rho.json", np.eye(d) / d)],
         "span-rank": ["span-rank", "--d", str(d)],
         "pure": ["pure", "--d", str(d), "--out", str(tmp_path / "families")],
+        "verify": ["verify", "--d", str(d)],
     }[command]
     need = setup_bytes(d, command)
     monkeypatch.setattr(harness_module, "_physical_memory", lambda: need - 1)
@@ -402,3 +423,53 @@ def test_entry_point_estimate_covers_what_it_allocates(tmp_path, capsys, command
     finally:
         tracemalloc.stop()
     assert peak <= setup_bytes(d, command) <= 2 * peak
+
+
+def member_states(d):
+    """I/d, two perturbation states and two Ginibre states; at d = 6 also the README's sample 235."""
+    config = SampleConfig(d=d, seed=12721, n_samples=1, mode="perturb")
+    basis = kd_real_basis(d)
+    indices = [0, 1] + ([235] if d == 6 else [])
+    return (
+        [np.eye(d, dtype=complex) / d]
+        + [sample_kd_boundary(config, basis, index=i) for i in indices]
+        + [_ginibre_state(_rng(5, i), d) for i in range(2)]
+    )
+
+
+@pytest.mark.parametrize("d", [6, 9, 12, 30])
+def test_member_agrees_with_the_projector_list_route(tmp_path, capsys, d):
+    projectors, labels = all_projectors(pure_kd_set(dft_pair(d)))
+    for k, rho in enumerate(member_states(d)):
+        assert run(["member", "--state", write_state(tmp_path / f"s{k}.json", rho)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        want = hull_membership(rho, projectors, labels=labels)
+        assert doc["member"] is want.member
+        assert abs(doc["distance"] - want.distance) <= 1e-12
+        if want.member:
+            assert doc["certificate"]["labels"] == list(want.certificate.labels)
+    assert doc["member"] is False  # the Ginibre states lie off the span
+
+
+def test_member_and_pq3_build_no_dense_projector(tmp_path, capsys, monkeypatch):
+    d = 6
+    pair = dft_pair(d)
+    pq3_states = {}
+    for sets in ("BCD", "ACD", "ABC", "ABD"):
+        v = np.hstack([fam.vectors() for fam in lettered_families(pair, sets).values()])
+        pq3_states[sets] = (v * np.random.default_rng(3).dirichlet(np.ones(3 * d))) @ v.conj().T
+    files = [write_state(tmp_path / f"s{k}.json", rho) for k, rho in enumerate(member_states(d))]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense projector, stacked matrix or lstsq")
+
+    monkeypatch.setattr(FamilyMember, "projector", property(forbidden))
+    monkeypatch.setattr(geometry, "stack_real", forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    for path in files:
+        assert run(["member", "--state", path]) == 0
+    for sets, rho in pq3_states.items():
+        assert decompose_pq_three(rho, pair, sets=tuple(sets)).residual <= 1e-12
+        path = write_state(tmp_path / f"pq3_{sets}.json", rho)
+        assert run(["decompose", "--state", path, "--mode", "pq3", "--sets", sets]) == 0
+    capsys.readouterr()

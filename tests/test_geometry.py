@@ -7,6 +7,7 @@ from scipy.optimize import nnls
 from kdclassical import (
     BadDimension,
     ConditionsFailed,
+    MixedDimensions,
     NotClassical,
     NotInSpan,
     NotUnitTrace,
@@ -26,8 +27,8 @@ from kdclassical import (
     sample_kd_boundary,
     span_project,
 )
-from kdclassical.families import all_projectors
-from kdclassical.geometry import stack_real
+from kdclassical.families import all_projectors, lettered_families, prime_pair
+from kdclassical.geometry import hull_system, reconstruct, stack_real
 from kdclassical.solver import simplex_least_squares
 
 
@@ -484,3 +485,66 @@ def test_pq_three_needs_two_distinct_primes():
     # d = 8 has two nontrivial factorizations, (2,4) and (4,2), but 4 is not prime.
     with pytest.raises(BadDimension):
         decompose_pq_three(np.eye(8) / 8, dft_pair(8))
+
+
+def lstsq_pq_three(rho, pair, sets):
+    """Coefficients and residual of the stacked-projector route, as a reference.
+
+    The span coefficients come from ``lstsq`` over the dense projectors of the
+    chosen families; the per-class fold is written out case by case.
+    """
+    d = pair.dim
+    p, q = prime_pair(d)
+    fams = lettered_families(pair, sets)
+    projectors = [proj for name in sets for proj in fams[name].projectors()]
+    coeffs, *_ = np.linalg.lstsq(stack_real(projectors), stack_real([rho]).reshape(-1), rcond=None)
+    parts = dict(zip(sets, np.split(coeffs, 3)))
+    idx = np.arange(d)
+    if "C" in parts and "D" in parts:
+        gamma, eta = parts["C"].reshape(p, q), parts["D"].reshape(q, p)
+        if "B" in parts:
+            g0, e0 = gamma.min(axis=0), eta.min(axis=0)
+            parts["C"], parts["D"] = (gamma - g0[None, :]).reshape(-1), (eta - e0[None, :]).reshape(-1)
+            parts["B"] = parts["B"] + g0[idx % q] + e0[idx % p]
+        else:
+            g0, e0 = gamma.min(axis=1), eta.min(axis=1)
+            parts["C"], parts["D"] = (gamma - g0[:, None]).reshape(-1), (eta - e0[:, None]).reshape(-1)
+            parts["A"] = parts["A"] + g0[idx % p] + e0[idx % q]
+    else:
+        name = "C" if "C" in parts else "D"
+        fp, fq = (p, q) if name == "C" else (q, p)
+        l0 = np.array([parts["A"][m::fp].min() for m in range(fp)])
+        u0 = np.array([parts["B"][s::fq].min() for s in range(fq)])
+        parts["A"] = parts["A"] - l0[idx % fp]
+        parts["B"] = parts["B"] - u0[idx % fq]
+        parts[name] = parts[name] + (l0[:, None] + u0[None, :]).reshape(-1)
+    coeffs = np.concatenate([parts[name] for name in sets])
+    coeffs = np.maximum(np.where(np.abs(coeffs) < max(1e-14, len(coeffs) * 1e-16), 0.0, coeffs), 0.0)
+    return coeffs, float(np.linalg.norm(reconstruct(projectors, coeffs) - rho))
+
+
+@pytest.mark.parametrize("d", [6, 10, 15])
+@pytest.mark.parametrize("sets", ["BCD", "ACD", "ABC", "ABD"])
+def test_pq_three_certificate_matches_the_stacked_lstsq_route(d, sets):
+    pair = dft_pair(d)
+    states = hull_system(list(lettered_families(pair, sets).values())).states
+    rng = np.random.default_rng(d)
+    rhos = [np.eye(d) / d] + [(states * rng.dirichlet(np.ones(3 * d))) @ states.conj().T for _ in range(3)]
+    for rho in rhos:
+        cert = decompose_pq_three(rho, pair, sets=tuple(sets))
+        coeffs, residual = lstsq_pq_three(rho, pair, tuple(sets))
+        assert np.abs(cert.coefficients - coeffs).max() <= 1e-12
+        assert abs(cert.residual - residual) <= 1e-12 and cert.residual <= 1e-12
+
+
+def test_pq_three_rejects_a_state_of_another_dimension():
+    with pytest.raises(MixedDimensions):
+        decompose_pq_three(np.eye(10) / 10, dft_pair(6))
+
+
+@pytest.mark.parametrize("source", ["families", "list", "system"])
+def test_membership_rejects_a_state_of_another_dimension(source):
+    families = pure_kd_set(dft_pair(6))
+    hull = {"families": families, "list": all_projectors(families)[0], "system": hull_system(families)}[source]
+    with pytest.raises(MixedDimensions):
+        hull_membership(np.eye(10) / 10, hull)

@@ -15,7 +15,7 @@ from kdclassical.solver import _DUAL_TOL, _FEAS_TOL, _FreeSetFactor, _solve_free
 
 
 def lstsq_reference(gram, h, free):
-    """The KKT step solved by SVD least squares, as a reference for the LU step."""
+    """The KKT step solved by SVD least squares on a separately built matrix, as a reference."""
     k = len(free)
     kkt = np.zeros((k + 1, k + 1))
     kkt[:k, :k] = gram[np.ix_(free, free)]
@@ -41,7 +41,7 @@ def test_lu_step_agrees_with_lstsq_on_well_conditioned_free_sets(seed):
 
 def test_singular_kkt_falls_back_to_minimum_norm_solution():
     # Columns 0 and 1 coincide, so rows 0 and 1 of the KKT matrix are equal
-    # and LU meets an exactly zero pivot.
+    # and LU would meet an exactly zero pivot; least squares does not.
     a = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     gram, h = a.T @ a, a.T @ np.array([0.5, 0.5])
     free = [0, 1]
@@ -202,7 +202,7 @@ def test_factor_grown_by_appends_equals_a_cold_factor():
 def test_near_singular_append_falls_back(offset):
     # Column 1 is column 0 up to ``offset``, so its Cholesky pivot is
     # offset^2 (relative to G_11), below the threshold though not always
-    # zero, and the step must come from the LU/lstsq path.
+    # zero, and the step must come from the lstsq path.
     a = np.array([[1.0, 1.0, 0.0], [0.0, offset, 1.0]])
     gram, h = a.T @ a, a.T @ np.array([0.5, 0.5])
     factor = _FreeSetFactor(gram, h)
@@ -210,8 +210,8 @@ def test_near_singular_append_falls_back(offset):
     factor.append(1)
     assert not factor.valid and factor.free.tolist() == [0, 1]
     z, nu = _solve_free(gram, h, factor.free, factor)
-    z_lu, nu_lu = _solve_free(gram, h, [0, 1])
-    assert np.array_equal(z, z_lu) and nu == nu_lu
+    z_plain, nu_plain = _solve_free(gram, h, [0, 1])
+    assert np.array_equal(z, z_plain) and nu == nu_plain
     if offset == 0.0:
         z_ref, nu_ref = lstsq_reference(gram, h, [0, 1])
         assert np.allclose(z, z_ref, atol=1e-12) and abs(nu - nu_ref) <= 1e-12
@@ -230,8 +230,8 @@ def test_non_finite_factor_step_falls_back(monkeypatch):
         factor.append(j)
     monkeypatch.setattr(_FreeSetFactor, "solve", lambda self: (np.full(3, np.nan), 0.0))
     z, nu = _solve_free(gram, h, factor.free, factor)
-    z_lu, nu_lu = _solve_free(gram, h, [1, 4, 6])
-    assert np.array_equal(z, z_lu) and nu == nu_lu
+    z_plain, nu_plain = _solve_free(gram, h, [1, 4, 6])
+    assert np.array_equal(z, z_plain) and nu == nu_plain
 
 
 def test_import_leaves_scipy_out():
