@@ -37,7 +37,6 @@ from .exceptions import (
 from .families import (
     Factorization,
     FamilyIdentityReport,
-    FamilyMember,
     PureFamily,
     all_projectors,
     build_family,

@@ -194,8 +194,8 @@ def _cmd_pure(args) -> int:
             "p": fam.p,
             "q": fam.q,
             "members": [
-                {"m": member.m, "s": member.s, "projector": matrix_to_json(member.projector)}
-                for member in fam.members
+                {"m": m, "s": s, "projector": matrix_to_json(fam.projector(m, s))}
+                for m, s in (divmod(k, fam.q) for k in range(fam.p * fam.q))
             ],
         }
         name = "family_" + fam.label.replace("(", "_").replace(")", "").replace(",", "_") + ".json"

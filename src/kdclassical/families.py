@@ -28,39 +28,26 @@ class Factorization(NamedTuple):
 
 
 @dataclass(frozen=True)
-class FamilyMember:
-    m: int
-    s: int
-    vector: np.ndarray
-
-    @property
-    def projector(self) -> np.ndarray:
-        """|psi><psi|, built on each access: elementwise the same as np.outer(v, v.conj())."""
-        return self.vector[:, None] * self.vector.conj()[None, :]
-
-
-@dataclass(frozen=True)
 class PureFamily:
     """States of one factorization family, labeled A/B/PSI(p,q)/PHI(p,q).
 
-    Each member keeps its state vector; its projector is built only when asked for.
+    ``states`` is the read-only d x pq matrix of :func:`family_states`:
+    column m*q + s is member (m, s). A projector is built only when asked for.
     """
 
     label: str
     dim: int
     p: int
     q: int
-    members: tuple[FamilyMember, ...]
+    states: np.ndarray
+
+    def projector(self, m: int, s: int) -> np.ndarray:
+        """|psi_ms><psi_ms|, built on each call: elementwise the same as np.outer(v, v.conj())."""
+        v = self.states[:, m * self.q + s]
+        return v[:, None] * v.conj()[None, :]
 
     def projectors(self) -> list[np.ndarray]:
-        return [member.projector for member in self.members]
-
-    def vectors(self) -> np.ndarray:
-        """The members' state vectors as the columns of a d x pq matrix, in member order."""
-        return np.array([member.vector for member in self.members]).T
-
-    def member(self, m: int, s: int) -> FamilyMember:
-        return self.members[m * self.q + s]
+        return [self.projector(*divmod(k, self.q)) for k in range(self.p * self.q)]
 
     def labels(self) -> list[str]:
         """See :func:`member_labels`."""
@@ -121,13 +108,18 @@ def member_labels(p: int, q: int) -> list[str]:
     return [f"{label}[{m},{s}]" for m in range(p) for s in range(q)]
 
 
-def psi_state(pair: BasisPair, p: int, q: int, m: int, s: int) -> np.ndarray:
-    """The a-basis expression of the (m, s) member of the (p, q) family."""
-    d = pair.dim
+def _check_member(d: int, p: int, q: int, m: int = 0, s: int = 0) -> None:
+    """Raise BadFactorization unless d = p*q, then IndexOutOfRange unless (m, s) is in Z_p x Z_q."""
     if p < 1 or q < 1 or p * q != d:
         raise BadFactorization(f"({p},{q}) is not a factorization of {d}")
     if not (0 <= m < p and 0 <= s < q):
         raise IndexOutOfRange(f"(m,s)=({m},{s}) outside Z_{p} x Z_{q}")
+
+
+def psi_state(pair: BasisPair, p: int, q: int, m: int, s: int) -> np.ndarray:
+    """The a-basis expression of the (m, s) member of the (p, q) family."""
+    d = pair.dim
+    _check_member(d, p, q, m, s)
     v = np.zeros(d, dtype=np.complex128)
     k = np.arange(q)
     v[k * p + m] = np.exp(2j * np.pi * ((s * k) % q) / q) / np.sqrt(q)
@@ -137,10 +129,7 @@ def psi_state(pair: BasisPair, p: int, q: int, m: int, s: int) -> np.ndarray:
 def psi_state_b_form(pair: BasisPair, p: int, q: int, m: int, s: int) -> np.ndarray:
     """Same state built from the b-basis expression, global phase included."""
     d = pair.dim
-    if p < 1 or q < 1 or p * q != d:
-        raise BadFactorization(f"({p},{q}) is not a factorization of {d}")
-    if not (0 <= m < p and 0 <= s < q):
-        raise IndexOutOfRange(f"(m,s)=({m},{s}) outside Z_{p} x Z_{q}")
+    _check_member(d, p, q, m, s)
     phase = np.exp(-2j * np.pi * ((m * s) % d) / d)
     v = np.zeros(d, dtype=np.complex128)
     for l in range(p):
@@ -155,8 +144,7 @@ def family_states(d: int, p: int, q: int) -> np.ndarray:
     The phases are evaluated by the same expression as in :func:`psi_state`,
     elementwise, so the columns are bit-identical to it.
     """
-    if p < 1 or q < 1 or p * q != d:
-        raise BadFactorization(f"({p},{q}) is not a factorization of {d}")
+    _check_member(d, p, q)
     k = np.arange(q)
     phases = np.exp(2j * np.pi * (np.outer(k, k) % q) / q) / np.sqrt(q)  # [s, k]
     m = np.arange(p)
@@ -166,9 +154,9 @@ def family_states(d: int, p: int, q: int) -> np.ndarray:
 
 
 def build_family(pair: BasisPair, p: int, q: int) -> PureFamily:
-    rows = family_states(pair.dim, p, q).T
-    members = tuple(FamilyMember(m=k // q, s=k % q, vector=rows[k]) for k in range(p * q))
-    return PureFamily(label=family_label(p, q), dim=pair.dim, p=p, q=q, members=members)
+    states = family_states(pair.dim, p, q)
+    states.setflags(write=False)
+    return PureFamily(label=family_label(p, q), dim=pair.dim, p=p, q=q, states=states)
 
 
 def pure_kd_set(pair: BasisPair) -> list[PureFamily]:
@@ -217,12 +205,12 @@ def family_identity_sums(family: PureFamily) -> FamilyIdentityReport:
     p, q = family.p, family.q
     a_dev = 0.0
     for m in range(p):
-        lhs = sum(family.member(m, s).projector for s in range(q))
+        lhs = sum(family.projector(m, s) for s in range(q))
         rhs = sum(basis_projector(pair, "a", k * p + m) for k in range(q))
         a_dev = max(a_dev, float(np.abs(lhs - rhs).max()))
     b_dev = 0.0
     for s in range(q):
-        lhs = sum(family.member(m, s).projector for m in range(p))
+        lhs = sum(family.projector(m, s) for m in range(p))
         rhs = sum(basis_projector(pair, "b", l * q + s) for l in range(p))
         b_dev = max(b_dev, float(np.abs(lhs - rhs).max()))
     return FamilyIdentityReport(label=family.label, a_side_max_dev=a_dev, b_side_max_dev=b_dev)

@@ -145,7 +145,7 @@ def hull_system(source) -> HullSystem:
         keep = eig > PINV_CUTOFF * eig[-1]
         kept = vecs[:, keep]
         return HullSystem(gram=gram, matrix=mat, pinv_gram=(kept / eig[keep]) @ kept.T)
-    states = np.hstack([fam.vectors() for fam in source])
+    states = np.hstack([fam.states for fam in source])
     gram = np.abs(states.conj().T @ states)
     gram *= gram
     c = frame_multiplicities(source)
@@ -230,14 +230,10 @@ def quadruple_violation(table: KDTable, p: int) -> float:
         raise BadDimension(f"table dim {d} is not {p}^2")
     q = table.values.real
     worst = 0.0
-    for m in range(p):
-        block = q[m::p, :]
-        diffs = block[:, None, :] - block[None, :, :]  # all same-class row pairs
-        worst = max(worst, float((diffs.max(axis=2) - diffs.min(axis=2)).max()))
-    for s in range(p):
-        block = q[:, s::p].T
-        diffs = block[:, None, :] - block[None, :, :]
-        worst = max(worst, float((diffs.max(axis=2) - diffs.min(axis=2)).max()))
+    for rows in (q, q.T):
+        blocks = rows.reshape(p, p, d)  # [k, m]: row k*p + m, so blocks[:, m] is residue class m
+        diffs = blocks[:, None] - blocks[None, :]  # all same-class row pairs
+        worst = max(worst, float((diffs.max(axis=3) - diffs.min(axis=3)).max()))
     return worst
 
 
@@ -367,13 +363,15 @@ def hull_membership(
     ``projectors`` is a list of projectors or of families, or a
     :class:`HullSystem` built with :func:`hull_system` from either when many
     states are tested against it; a state of another dimension raises
-    MixedDimensions before any arithmetic on it. The solver works on the Gram and h_k = <P_k, rho>, computed once
-    per query: from the state vectors for a system built from families,
-    from the stacked matrix for one built from a projector list. Its first
-    step is the state's min-norm coefficients, which it keeps when they
-    are feasible and stationary: from the Weyl coefficients for a system
-    built from families (only for a state within ``tol.recon`` of their
-    span), and from ``pinv_gram`` for one built from a projector list. The
+    MixedDimensions before any arithmetic on it.
+
+    The solver works on the Gram and h_k = <P_k, rho>, computed once per
+    query: from the state vectors for a system built from families, from
+    the stacked matrix for one built from a projector list. Its first step
+    is the state's min-norm coefficients, which it keeps when they are
+    feasible and stationary: from the Weyl coefficients for a system built
+    from families (only for a state within ``tol.recon`` of their span),
+    and from ``pinv_gram`` for one built from a projector list. The
     distance is computed in primal coordinates.
     """
     system = projectors if isinstance(projectors, HullSystem) else hull_system(projectors)

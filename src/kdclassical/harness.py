@@ -20,7 +20,6 @@ its hull solve remain.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from .exceptions import BadDimension, SolverDidNotConverge, TooLarge, ZeroDirect
 from .families import all_projectors, factorizations, pure_kd_set
 from .geometry import hull_membership, hull_system, stack_real
 # kd_real_basis and kd_real_condition are not called here, but benchmarks/tracing.py wraps them under this module.
-from .kdreal import CONDITION_TOL, kd_real_basis, kd_real_condition, kd_real_parts_condition, traceless_kd_real_block  # noqa: F401
+from .kdreal import CONDITION_TOL, kd_real_basis, kd_real_condition, kd_real_dimension, kd_real_parts_condition, traceless_kd_real_block  # noqa: F401
 from .linalg import Tolerances, matrix_to_json
 
 MODES = ("hull", "perturb", "ginibre")
@@ -230,13 +229,12 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
     - overlaps: the n x n complex V^dag V its Gram is computed from;
     - gram: n x n reals;
     - projectors: n d^2 complex, built as dense matrices;
-    - directions: the 2d^2 x m traceless block, m = d + sum_k gcd(k, d)
-      being the real-table dimension, the SVD's left factor of the same
-      shape, and the 2d^2 x (m - 1) directions copied out of it;
-    - copies: nine more d x n complex arrays of state vectors: the
-      families' own, their per-family copies that are stacked, and V^dag
-      for the overlaps, then two per pass over the states in a query (h,
-      the min-norm step, the residual);
+    - directions: the 2d^2 x m traceless block, m being the real-table
+      dimension, the SVD's left factor of the same shape, and the
+      2d^2 x (m - 1) directions copied out of it;
+    - copies: eight more d x n complex arrays of state vectors: the
+      families' own, V^dag for the overlaps, then two per pass over the
+      states in a query (h, the min-norm step, the residual);
     - factor: the solver's n x n inverse Cholesky factor, built when the
       min-norm step does not decide the query;
     - flat: the n x d^2 real rows of ``real_span_rank``, the list they are
@@ -251,7 +249,7 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
     set-ups, which the round-trip and probe checks build.
     """
     n = d * (len(factorizations(d)) if families is None else families)
-    m = d + sum(math.gcd(k, d) for k in range(1, d))
+    m = kd_real_dimension(d)
     if command == "verify":
         return max(32 * m * d * d, setup_bytes(d, "perturb"), setup_bytes(d, "hull"))
     sizes = {
@@ -260,7 +258,7 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
         "gram": n * n * 8,
         "projectors": n * d * d * 16,
         "directions": 2 * d * d * (3 * m - 1) * 8,
-        "copies": 9 * n * d * 16,
+        "copies": 8 * n * d * 16,
         "factor": n * n * 8,
         "flat": 3 * n * d * d * 8,
         "json": d**3 * 512,

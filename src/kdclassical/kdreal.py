@@ -134,18 +134,16 @@ def b_side_condition(g: np.ndarray, pair: BasisPair, tol: float = CONDITION_TOL)
 
 
 def kd_real_dimension(d: int) -> int:
-    """Real dimension of the space of operators with all-real tables.
+    """Real dimension of the space of operators with all-real tables: d + sum_k gcd(k, d), k = 1..d-1.
 
-    Counted from the entry partition: one parameter per real category, two
-    per complex category, d for the diagonal. Equals d + sum_k gcd(k, d);
-    reduces to 2d-1 for prime d, 3p^2-2p for d=p^2, (2p-1)(2q-1) for d=pq.
+    That is the entry-partition count: d for the diagonal, then gcd(k, d)
+    orbits per step k, each a complex category (two parameters, shared
+    with the conjugate step d - k) or, for 2k = d, a real one. It reduces
+    to 2d-1 for prime d, 3p^2-2p for d=p^2 and (2p-1)(2q-1) for d=pq.
     """
     if d < 1:
         raise ValueError("dimension must be a positive integer")
-    if d == 1:
-        return 1
-    part = entry_partition(d)
-    return d + sum(1 if cat.is_real else 2 for cat in part.categories)
+    return d + sum(math.gcd(k, d) for k in range(1, d))
 
 
 def kd_real_basis(d: int) -> list[np.ndarray]:
@@ -176,7 +174,7 @@ def traceless_kd_real_block(d: int) -> np.ndarray:
 def _kd_real_block(d: int) -> np.ndarray:
     """The basis of :func:`kd_real_basis` as the columns of its 2d^2 x m stacked-real block, from the entry partition."""
     cats = entry_partition(d).categories if d > 1 else ()
-    block = np.zeros((2 * d * d, d + sum(1 if cat.is_real else 2 for cat in cats)))
+    block = np.zeros((2 * d * d, kd_real_dimension(d)))
     block[np.arange(d) * (d + 1), np.arange(d)] = 1.0
     col = d
     for cat in cats:

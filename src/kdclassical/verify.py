@@ -218,11 +218,11 @@ def check_pure_states(d: int) -> CheckResult:
     bad = 0
     total = 0
     for fam in pure_kd_set(pair):
-        for member in fam.members:
+        for k in range(fam.p * fam.q):
             total += 1
-            table = kd_table(member.projector, pair)
+            table = kd_table(fam.projector(*divmod(k, fam.q)), pair)
             re, im = table.values.real, table.values.imag
-            n_a, n_b = support_counts(member.vector, pair)
+            n_a, n_b = support_counts(fam.states[:, k], pair)
             cells = int(np.count_nonzero(np.abs(table.values - 1.0 / d) <= 1e-12))
             zeros = int(np.count_nonzero(np.abs(table.values) <= 1e-12))
             good = (
@@ -324,7 +324,7 @@ def check_pq_three_decomposition(d: int, n: int = 200, sets=("B", "C", "D")) -> 
     """Hull points of three families reconstructed by the fold construction."""
     pair = dft_pair(d)
     fams = lettered_families(pair, sets)
-    states = np.hstack([fams[name].vectors() for name in sets])
+    states = np.hstack([fams[name].states for name in sets])
     rng = np.random.default_rng(np.random.SeedSequence(entropy=PQ3_SEED, spawn_key=(d,)))
     failures = 0
     worst = 0.0

@@ -10,15 +10,17 @@ import pytest
 
 import kdclassical
 from kdclassical import (
-    FamilyMember,
+    PureFamily,
     SampleConfig,
     decompose_pq_three,
     dft_pair,
+    factorizations,
     geometry,
     hull_membership,
     kd_real_basis,
     matrix_from_json,
     matrix_to_json,
+    psi_state,
     pure_kd_set,
     sample_kd_boundary,
 )
@@ -138,6 +140,23 @@ def test_pure_writes_families(tmp_path, capsys):
     assert doc["label"] == "PSI(2,3)" and len(doc["members"]) == 6
     proj = matrix_from_json(doc["members"][0]["projector"])
     assert abs(np.trace(proj) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [6, 12])
+def test_pure_files_match_the_reference_builder(tmp_path, capsys, d):
+    pair = dft_pair(d)
+    out = tmp_path / "fams"
+    assert run(["pure", "--d", str(d), "--out", str(out), "--json"]) == 0
+    files = json.loads(capsys.readouterr().out)["files"]
+    assert len(files) == len(factorizations(d))
+    for name in files:
+        doc = json.loads((out / name).read_text())
+        p, q = doc["p"], doc["q"]
+        members = doc["members"]
+        assert [(member["m"], member["s"]) for member in members] == [(k // q, k % q) for k in range(p * q)]
+        for member in members:
+            v = psi_state(pair, p, q, member["m"], member["s"])
+            assert member["projector"] == matrix_to_json(np.outer(v, v.conj()))
 
 
 def test_categories_json_and_render(capsys):
@@ -456,14 +475,14 @@ def test_member_and_pq3_build_no_dense_projector(tmp_path, capsys, monkeypatch):
     pair = dft_pair(d)
     pq3_states = {}
     for sets in ("BCD", "ACD", "ABC", "ABD"):
-        v = np.hstack([fam.vectors() for fam in lettered_families(pair, sets).values()])
+        v = np.hstack([fam.states for fam in lettered_families(pair, sets).values()])
         pq3_states[sets] = (v * np.random.default_rng(3).dirichlet(np.ones(3 * d))) @ v.conj().T
     files = [write_state(tmp_path / f"s{k}.json", rho) for k, rho in enumerate(member_states(d))]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense projector, stacked matrix or lstsq")
 
-    monkeypatch.setattr(FamilyMember, "projector", property(forbidden))
+    monkeypatch.setattr(PureFamily, "projector", forbidden)
     monkeypatch.setattr(geometry, "stack_real", forbidden)
     monkeypatch.setattr(np.linalg, "lstsq", forbidden)
     for path in files:

@@ -123,7 +123,7 @@ def test_classicality_superposition_not_classical():
 
 def test_classicality_family_member_d9():
     fam = build_family(dft_pair(9), 3, 3)
-    verdict = classicality(kd_table(fam.member(0, 1).projector, dft_pair(9)))
+    verdict = classicality(kd_table(fam.projector(0, 1), dft_pair(9)))
     assert verdict.classical
 
 
@@ -169,7 +169,7 @@ def test_pure_criterion_examples():
     for m in range(3):
         for s in range(3):
             fam = build_family(pair9, 3, 3)
-            assert pure_classicality_criterion(fam.member(m, s).vector, pair9)
+            assert pure_classicality_criterion(fam.states[:, m * 3 + s], pair9)
 
     b2 = dft_pair(6).transition[:, 2]
     assert pure_classicality_criterion(b2, dft_pair(6))
@@ -191,9 +191,9 @@ def test_pure_criterion_matches_classicality(d):
         if table_classical:
             assert pure_classicality_criterion(psi, pair)
     for fam in pure_kd_set(pair):
-        for member in fam.members:
-            assert pure_classicality_criterion(member.vector, pair)
-            assert classicality(kd_table(member.projector, pair)).classical
+        for k in range(fam.p * fam.q):
+            assert pure_classicality_criterion(fam.states[:, k], pair)
+            assert classicality(kd_table(fam.projector(*divmod(k, fam.q)), pair)).classical
 
 
 def test_is_kd_real_cases():

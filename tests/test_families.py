@@ -84,7 +84,7 @@ def test_psi_state_validation():
 
 def test_member_table_d6():
     pair = dft_pair(6)
-    proj = build_family(pair, 2, 3).member(1, 2).projector
+    proj = build_family(pair, 2, 3).projector(1, 2)
     values = kd_table(proj, pair).values
     nonzero = np.abs(values) > 1e-12
     assert nonzero.sum() == 6
@@ -98,37 +98,37 @@ def test_member_table_d6():
 def test_pure_kd_set_counts_and_labels():
     fams9 = pure_kd_set(dft_pair(9))
     assert [f.label for f in fams9] == ["B", "PSI(3,3)", "A"]
-    assert sum(len(f.members) for f in fams9) == 27
+    assert sum(f.states.shape[1] for f in fams9) == 27
 
     fams6 = pure_kd_set(dft_pair(6))
     assert [f.label for f in fams6] == ["B", "PSI(2,3)", "PHI(3,2)", "A"]
-    assert sum(len(f.members) for f in fams6) == 24
+    assert sum(f.states.shape[1] for f in fams6) == 24
 
     fams5 = pure_kd_set(dft_pair(5))
     assert [f.label for f in fams5] == ["B", "A"]
-    assert sum(len(f.members) for f in fams5) == 10
+    assert sum(f.states.shape[1] for f in fams5) == 10
 
 
 def test_degenerate_families_match_basis_projectors():
     pair = dft_pair(6)
     fams = {f.label: f for f in pure_kd_set(pair)}
     for i in range(6):
-        assert np.abs(fams["A"].member(i, 0).projector - basis_projector(pair, "a", i)).max() <= 1e-14
-        assert np.abs(fams["B"].member(0, i).projector - basis_projector(pair, "b", i)).max() <= 1e-12
+        assert np.abs(fams["A"].projector(i, 0) - basis_projector(pair, "a", i)).max() <= 1e-14
+        assert np.abs(fams["B"].projector(0, i) - basis_projector(pair, "b", i)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d", list(range(1, 13)))
 def test_every_member_is_classical_with_d_uniform_cells(d):
     pair = dft_pair(d)
     for fam in pure_kd_set(pair):
-        for member in fam.members:
-            table = kd_table(member.projector, pair)
+        for k in range(fam.p * fam.q):
+            table = kd_table(fam.projector(*divmod(k, fam.q)), pair)
             assert table.values.real.min() >= -1e-12
             assert np.abs(table.values.imag).max() <= 1e-12
             cells = np.abs(table.values - 1.0 / d) <= 1e-12
             assert cells.sum() == d
             assert np.abs(table.values[~cells]).max() <= 1e-12 if d > 1 else True
-            n_a, n_b = support_counts(member.vector, pair)
+            n_a, n_b = support_counts(fam.states[:, k], pair)
             assert n_a * n_b == d
             assert (n_a, n_b) == (fam.q, fam.p)
 
@@ -136,19 +136,19 @@ def test_every_member_is_classical_with_d_uniform_cells(d):
 def test_identity_sum_examples():
     pair9 = dft_pair(9)
     fam9 = build_family(pair9, 3, 3)
-    lhs = sum(fam9.member(0, s).projector for s in range(3))
+    lhs = sum(fam9.projector(0, s) for s in range(3))
     rhs = sum(basis_projector(pair9, "a", k) for k in (0, 3, 6))
     assert np.abs(lhs - rhs).max() <= 1e-12
 
     pair6 = dft_pair(6)
     fam6 = build_family(pair6, 2, 3)
-    lhs = sum(fam6.member(m, 1).projector for m in range(2))
+    lhs = sum(fam6.projector(m, 1) for m in range(2))
     rhs = basis_projector(pair6, "b", 1) + basis_projector(pair6, "b", 4)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
     pair4 = dft_pair(4)
     fam4 = build_family(pair4, 2, 2)
-    total = sum(member.projector for member in fam4.members)
+    total = sum(fam4.projectors())
     assert np.abs(total - np.eye(4)).max() <= 1e-12
 
 
@@ -166,8 +166,8 @@ def test_family_identity_reports(d):
 def test_classicality_of_families_matches_engine():
     pair = dft_pair(10)
     for fam in pure_kd_set(pair):
-        for member in fam.members:
-            assert classicality(kd_table(member.projector, pair)).classical
+        for proj in fam.projectors():
+            assert classicality(kd_table(proj, pair)).classical
 
 
 def test_prime_pair_only_for_two_distinct_primes():
@@ -206,10 +206,18 @@ def test_vectorised_build_is_bit_identical_to_psi_state_and_outer(d):
     pair = dft_pair(d)
     for p, q in factorizations(d):
         family = build_family(pair, p, q)
-        for member in family.members:
-            v = psi_state(pair, p, q, member.m, member.s)
-            assert np.array_equal(member.vector, v)
-            assert np.array_equal(member.projector, np.outer(v, v.conj()))
-        assert np.array_equal(family_states(d, p, q), family.vectors())
+        for m in range(p):
+            for s in range(q):
+                v = psi_state(pair, p, q, m, s)
+                assert np.array_equal(family.states[:, m * q + s], v)
+                assert np.array_equal(family.projector(m, s), np.outer(v, v.conj()))
+        assert np.array_equal(family_states(d, p, q), family.states)
     with pytest.raises(BadFactorization):
         family_states(d, d + 1, 1)
+
+
+def test_family_states_are_read_only():
+    family = build_family(dft_pair(6), 2, 3)
+    assert family.states.shape == (6, 6) and not family.states.flags.writeable
+    with pytest.raises(ValueError):
+        family.states[0, 0] = 0.0

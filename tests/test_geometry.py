@@ -123,7 +123,7 @@ def test_quadruple_uniform_true():
 
 def test_quadruple_family_member_true():
     pair = dft_pair(9)
-    proj = build_family(pair, 3, 3).member(0, 1).projector
+    proj = build_family(pair, 3, 3).projector(0, 1)
     table = kd_table(proj, pair)
     assert quadruple_conditions_p2(table, 3)
     assert brute_force_quadruples(table.values, 3) <= 1e-12
@@ -202,7 +202,7 @@ def test_decompose_p2_basis_mixture():
 
 def test_decompose_p2_vertex():
     pair = dft_pair(9)
-    rho = build_family(pair, 3, 3).member(1, 2).projector
+    rho = build_family(pair, 3, 3).projector(1, 2)
     cert = decompose_p2(rho, pair, 3)
     by_label = dict(zip(cert.labels, cert.coefficients))
     assert abs(by_label["PSI(3,3)[1,2]"] - 1.0) <= 1e-10
@@ -262,7 +262,7 @@ def test_pq_three_uniform():
 
 def test_pq_three_vertex():
     pair = dft_pair(6)
-    rho = build_family(pair, 3, 2).member(1, 0).projector
+    rho = build_family(pair, 3, 2).projector(1, 0)
     cert = decompose_pq_three(rho, pair)
     by_label = dict(zip(cert.labels, cert.coefficients))
     assert abs(by_label["PHI(3,2)[1,0]"] - 1.0) <= 1e-10
@@ -272,7 +272,7 @@ def test_pq_three_vertex():
 
 def test_pq_three_known_mixture():
     pair = dft_pair(6)
-    rho = 0.5 * build_family(pair, 2, 3).member(0, 1).projector + 0.5 * basis_projector(
+    rho = 0.5 * build_family(pair, 2, 3).projector(0, 1) + 0.5 * basis_projector(
         pair, "b", 2
     )
     cert = decompose_pq_three(rho, pair)

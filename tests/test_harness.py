@@ -25,7 +25,7 @@ from kdclassical import (
     sample_hull_point,
     sample_kd_boundary,
 )
-from kdclassical.families import FamilyMember, all_projectors
+from kdclassical.families import PureFamily, all_projectors
 from kdclassical.geometry import hull_system, stack_real
 from kdclassical.harness import perturbation_basis, setup_bytes, traceless_real_table_directions
 from kdclassical.kdreal import traceless_kd_real_block
@@ -266,7 +266,7 @@ def test_probe_builds_no_dense_projector_or_basis_matrix(monkeypatch, mode):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense projector or basis matrix built")
 
-    monkeypatch.setattr(FamilyMember, "projector", property(forbidden))
+    monkeypatch.setattr(PureFamily, "projector", forbidden)
     monkeypatch.setattr(harness_module, "kd_real_basis", forbidden)
     monkeypatch.setattr(harness_module, "all_projectors", forbidden)
     report = probe_conjecture(SampleConfig(d=30, seed=12721, n_samples=1, mode=mode))

@@ -158,6 +158,13 @@ def test_dimension_equals_gcd_sum(d):
     assert kd_real_dimension(d) == d + sum(math.gcd(k, d) for k in range(1, d))
 
 
+@pytest.mark.parametrize("d", list(range(1, 61)))
+def test_dimension_equals_entry_partition_count(d):
+    # One parameter per real category, two per complex one, d for the diagonal.
+    categories = entry_partition(d).categories if d > 1 else ()
+    assert kd_real_dimension(d) == d + sum(1 if cat.is_real else 2 for cat in categories)
+
+
 @pytest.mark.parametrize("d", [4, 5, 6, 9, 10])
 def test_categories_carry_one_value_each(d):
     # On an operator with an all-real table, every category holds a single

@@ -25,7 +25,7 @@ def lstsq_reference(gram, h, free):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_lu_step_agrees_with_lstsq_on_well_conditioned_free_sets(seed):
+def test_factor_step_agrees_with_lstsq_on_well_conditioned_free_sets(seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((60, 40))
     gram, h = a.T @ a, a.T @ rng.standard_normal(60)
