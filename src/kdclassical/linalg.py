@@ -147,11 +147,13 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     if d < 1:
         raise ValueError("matrix dimension must be >= 1")
     entries = doc["entries"]
-    if len(entries) != d * d:
-        raise ValueError(f"expected {d * d} entries, got {len(entries)}")
-    flat = np.empty(d * d, dtype=np.complex128)
-    for k, pair in enumerate(entries):
-        if len(pair) != 2:
-            raise ValueError("each entry must be a [re, im] pair")
-        flat[k] = complex(float(pair[0]), float(pair[1]))
+    if not isinstance(entries, list) or len(entries) != d * d:
+        got = len(entries) if isinstance(entries, list) else f"a {type(entries).__name__}"
+        raise ValueError(f"expected a list of {d * d} entries, got {got}")
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in entries):
+        raise ValueError("each entry must be a [re, im] pair")
+    try:
+        flat = np.array([complex(float(re), float(im)) for re, im in entries])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"entry components must be numbers ({exc})") from None
     return as_matrix(flat.reshape(d, d))

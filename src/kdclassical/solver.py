@@ -10,19 +10,24 @@ dropped along feasible line steps, and variables enter by the most negative
 reduced cost.
 
 The iteration keeps the inverse Cholesky factor R = L^-1 of the free-set
-Gram G_F = L L^T, with u = R 1 and w = R h_F (h = A^T b). The KKT step is
-then nu = (u.w - 1) / (u.u) and z = R^T (w - nu u), two products with R and
-no factorization. An entering column appends one row to R in O(k^2) for k
-free columns. A dropped column (about one per solve on the probe
-workloads, against up to 137 entering ones at d = 30) rebuilds R from a
-Cholesky factorization of the reduced free set. When a pivot is not
-safely positive (a column nearly in the span of the free ones) the factor
-is marked invalid until the next rebuild, and the step falls back to the
+Gram G_F = L L^T, with u = R 1 and w = R h_F (h = A^T b), in one buffer
+whose row i is [u_i, w_i, R_i.], and u.u and u.w as running sums. The KKT
+step is then nu = (u.w - 1) / (u.u) and z = R^T (w - nu u), one product
+with R and no factorization. An entering column appends one row in O(k^2)
+for k free columns, from l = R G[F, j] and the one product l [u, w, R]. A
+dropped column (about one per solve on the probe workloads, against up to
+137 entering ones at d = 30) rebuilds R, u.u and u.w from a Cholesky
+factorization of the reduced free set. When a pivot is not safely positive
+(a column nearly in the span of the free ones) the factor is marked
+invalid until the next rebuild, and the step falls back to the
 minimum-norm least-squares solution of the bordered KKT matrix, singular
 or not; that fallback is also taken when the factor gives a non-finite
-step. Termination is by the KKT optimality test. The caller computes the
-distance ||A x - b|| from the returned x in its own coordinates, since
-x.G x - 2 h.x + ||b||^2 loses the small distances to cancellation.
+step. Termination is by the KKT optimality test; its scale max |grad| is
+computed only when the most negative reduced cost does not already fail
+the test against a bound B >= max |grad| fixed per solve. The caller
+computes the distance ||A x - b|| from the returned x in its own
+coordinates, since x.G x - 2 h.x + ||b||^2 loses the small distances to
+cancellation.
 
 A caller that knows pinv(A) b in closed form (the Weyl min-norm step of a
 family-built :class:`~kdclassical.geometry.HullSystem`) passes it as
@@ -33,6 +38,8 @@ column order; re-entrant (no shared state). numpy only.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -76,12 +83,15 @@ def simplex_least_squares(
         if _feasible_and_stationary(gram, h, z, nu):
             return np.maximum(z, 0.0)
 
-    # Best single vertex is a feasible start.
+    # Best single vertex is a feasible start. x is never re-zeroed: each KKT
+    # step rewrites it on the whole free set, and a dropped column leaves at 0.
     start = int(np.argmin(gram.diagonal() - 2.0 * h))
     x = np.zeros(n)
     x[start] = 1.0
     factor = _FreeSetFactor(gram, h)
     factor.append(start)
+    cutoff = -_DUAL_TOL * max(1.0, _grad_bound(gram, h))
+    grad, reduced = np.empty(n), np.empty(n)
 
     for _ in range(max_iter):
         z, nu = _solve_free(gram, h, factor.free, factor)
@@ -95,7 +105,6 @@ def simplex_least_squares(
             alpha = float(ratios.min())
             xf = xf + alpha * (z - xf)
             xf[np.where(neg)[0][np.argmin(ratios)]] = 0.0
-            x[:] = 0.0
             x[free] = np.maximum(xf, 0.0)
             factor.rebuild(free[xf > 0.0])
             z, nu = _solve_free(gram, h, factor.free, factor)
@@ -103,20 +112,26 @@ def simplex_least_squares(
             if inner > n + 10:
                 raise SolverDidNotConverge("inner loop exceeded iteration cap")
         free = factor.free
-        x[:] = 0.0
         x[free] = np.maximum(z, 0.0)
 
         # KKT convention from _solve_free is grad_free = -nu, so the
         # multiplier of a bound-active variable is grad_k + nu.
-        grad = gram @ x - h
-        reduced = grad + nu
+        np.subtract(np.matmul(gram, x, out=grad), h, out=grad)
+        np.add(grad, nu, out=reduced)
         reduced[free] = 0.0
-        entering = int(np.argmin(reduced))
-        if reduced[entering] >= -_DUAL_TOL * max(1.0, float(np.abs(grad).max())):
+        entering = int(reduced.argmin())
+        cost = reduced[entering]
+        # cutoff <= the test's own threshold, so below it the test fails.
+        if cost >= cutoff and cost >= -_DUAL_TOL * max(1.0, float(np.abs(grad).max())):
             return x
         factor.append(entering)
 
     raise SolverDidNotConverge(f"no optimality certificate after {max_iter} iterations")
+
+
+def _grad_bound(gram: np.ndarray, h: np.ndarray) -> float:
+    """B >= max |G x - h|, roundoff included, for x >= 0 with sum(x) <= 1.5; the loop's x sum to one."""
+    return 2.0 * (float(np.abs(gram).max()) + float(np.abs(h).max()))
 
 
 def _feasible_and_stationary(gram: np.ndarray, h: np.ndarray, z: np.ndarray, nu: float) -> bool:
@@ -130,10 +145,12 @@ def _feasible_and_stationary(gram: np.ndarray, h: np.ndarray, z: np.ndarray, nu:
 class _FreeSetFactor:
     """The free set F in entry order, and the inverse Cholesky factor of G_F.
 
-    ``r[:k, :k]`` is R = L^-1 for G_F = L L^T (lower triangular), ``u[:k]``
-    is R 1 and ``w[:k]`` is R h_F; all live in buffers sized for every
-    column. ``valid`` is False while some pivot of F was not safely
-    positive; the free set is still tracked then, and the next
+    Row i of the buffer ``b`` is [u_i, w_i, R_i.]: ``r[:k, :k]`` is R = L^-1
+    for G_F = L L^T (lower triangular), ``u[:k]`` is R 1 and ``w[:k]`` is
+    R h_F, all views of ``b``, which is sized for every column. ``uu`` and
+    ``uw`` are u.u and u.w, summed as rows are appended and recomputed by
+    :meth:`rebuild`. ``valid`` is False while some pivot of F was not
+    safely positive; the free set is still tracked then, and the next
     :meth:`rebuild` tries again.
     """
 
@@ -141,9 +158,9 @@ class _FreeSetFactor:
         n = h.size
         self.gram, self.h = gram, h
         self.cols = np.empty(n, dtype=np.intp)
-        self.r = np.zeros((n, n))
-        self.u = np.empty(n)
-        self.w = np.empty(n)
+        self.b = np.zeros((n, n + 2))
+        self.u, self.w, self.r = self.b[:, 0], self.b[:, 1], self.b[:, 2:]
+        self.uu = self.uw = 0.0
         self.k = 0
         self.valid = True
 
@@ -152,24 +169,28 @@ class _FreeSetFactor:
         return self.cols[: self.k]
 
     def append(self, j: int) -> None:
-        """Add column j to F: one new row of R from l = R G[F, j] and delta^2 = G_jj - l.l."""
+        """Add column j to F: one new row of b from l = R G[F, j], delta^2 = G_jj - l.l and l [u, w, R]."""
         k = self.k
         self.k = k + 1
         self.cols[k] = j
         if not self.valid:
             return
-        r = self.r[:k, :k]
-        l = r @ self.gram[j].take(self.cols[:k])
+        l = self.r[:k, :k] @ self.gram[j].take(self.cols[:k])
         g_jj = self.gram[j, j]
         pivot = g_jj - l @ l
         if not pivot > _PIVOT_TOL * g_jj:
             self.valid = False
             return
-        delta = np.sqrt(pivot)
-        self.r[k, :k] = (l @ r) / -delta
-        self.r[k, k] = 1.0 / delta
-        self.u[k] = (1.0 - l @ self.u[:k]) / delta
-        self.w[k] = (self.h[j] - l @ self.w[:k]) / delta
+        delta = math.sqrt(pivot)
+        row = l @ self.b[:k, : k + 2]
+        row[0] -= 1.0
+        row[1] -= self.h[j]
+        row /= -delta
+        self.b[k, : k + 2] = row
+        self.b[k, k + 2] = 1.0 / delta
+        u_k, w_k = float(row[0]), float(row[1])
+        self.uu += u_k * u_k
+        self.uw += u_k * w_k
 
     def rebuild(self, cols: np.ndarray) -> None:
         """Make F = cols and refactor G_F from scratch."""
@@ -186,15 +207,15 @@ class _FreeSetFactor:
         if self.valid:
             r = np.tril(np.linalg.inv(low))
             self.r[:k, :k] = r
-            self.u[:k] = r.sum(axis=1)
-            self.w[:k] = r @ self.h.take(cols)
+            u = self.u[:k] = r.sum(axis=1)
+            w = self.w[:k] = r @ self.h.take(cols)
+            self.uu, self.uw = float(u @ u), float(u @ w)
 
     def solve(self) -> tuple[np.ndarray, float]:
         """The KKT step (z, nu) on F: nu = (u.w - 1) / (u.u), z = R^T (w - nu u)."""
         k = self.k
-        u, w = self.u[:k], self.w[:k]
-        nu = (u @ w - 1.0) / (u @ u)
-        return (w - nu * u) @ self.r[:k, :k], float(nu)
+        nu = (self.uw - 1.0) / self.uu
+        return (self.w[:k] - nu * self.u[:k]) @ self.r[:k, :k], nu
 
 
 def _solve_free(
@@ -217,7 +238,7 @@ def _solve_free(
         return np.asarray(candidate, dtype=float), 0.0
     if factor is not None and factor.valid and factor.k == len(free):
         z, nu = factor.solve()
-        if np.isfinite(z).all() and np.isfinite(nu):
+        if math.isfinite(nu) and math.isfinite(z.sum()):  # a sum is finite only if every entry is
             return z, nu
     k = len(free)
     idx = np.asarray(free, dtype=np.intp)

@@ -111,6 +111,16 @@ def test_non_finite_state_exits_2(tmp_path, capsys, command):
     assert captured.out == "" and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["check", "member"])
+def test_malformed_entries_exit_2(tmp_path, capsys, command):
+    for i, entries in enumerate(([[0.5, 0], 5, [0, 0], [0.5, 0]], 5, [[0.5, 0], [None, 0], [0, 0], [0.5, 0]])):
+        path = tmp_path / f"s{i}.json"
+        path.write_text(json.dumps({"d": 2, "entries": entries}), encoding="utf-8")
+        assert run([command, "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "entr" in captured.err and "Traceback" not in captured.err
+
+
 def test_non_integer_dimension_exits_2(tmp_path, capsys):
     doc = matrix_to_json(np.eye(2) / 2)
     doc["d"] = 2.7

@@ -134,6 +134,10 @@ def test_matrix_from_json_validation():
         matrix_from_json({"entries": []})
     with pytest.raises(ValueError):
         matrix_from_json({"d": 1, "entries": [[1, 0, 0]]})
+    for entries in (5, [[0.5, 0], 5, [0, 0], [0.5, 0]], [[0.5, 0], [None, 0], [0, 0], [0.5, 0]],
+                    [[0.5, 0], [0, [0]], [0, 0], [0.5, 0]], [[0.5, 0], "12", [0, 0], [0.5, 0]]):
+        with pytest.raises(ValueError):
+            matrix_from_json({"d": 2, "entries": entries})
 
 
 def test_matrix_from_json_rejects_non_finite_entries():

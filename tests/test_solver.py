@@ -11,7 +11,7 @@ import kdclassical
 from kdclassical import dft_pair, pure_kd_set
 from kdclassical.families import all_projectors
 from kdclassical.geometry import hull_membership, hull_system, stack_real
-from kdclassical.solver import _DUAL_TOL, _FEAS_TOL, _FreeSetFactor, _solve_free, simplex_least_squares
+from kdclassical.solver import _DUAL_TOL, _FEAS_TOL, _FreeSetFactor, _grad_bound, _solve_free, simplex_least_squares
 
 
 def lstsq_reference(gram, h, free):
@@ -196,6 +196,41 @@ def test_factor_grown_by_appends_equals_a_cold_factor():
     z, nu = _solve_free(gram, h, factor.free, factor)
     z_ref, nu_ref = lstsq_reference(gram, h, factor.free.tolist())
     assert np.abs(z - z_ref).max() <= 1e-10 * (1.0 + np.abs(z_ref).max()) and abs(nu - nu_ref) <= 1e-10 * (1.0 + abs(nu_ref))
+
+
+def test_running_kkt_scalars_match_fresh_dot_products():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((50, 30))
+    gram, h = a.T @ a, a.T @ rng.standard_normal(50)
+    factor = _FreeSetFactor(gram, h)
+    order = rng.permutation(30)[:25]
+    for j in order:
+        factor.append(int(j))
+    for cols in (None, order[1::2], order[::3]):
+        if cols is not None:
+            factor.rebuild(cols)
+        k = factor.k
+        u, w = factor.u[:k], factor.w[:k]
+        assert factor.valid
+        assert abs(factor.uu - u @ u) <= 1e-12 * (u @ u)
+        assert abs(factor.uw - u @ w) <= 1e-12 * (np.abs(u) @ np.abs(w))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gradient_bound_holds_on_the_simplex(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    a = rng.standard_normal((n + 5, n)) * rng.uniform(0.01, 10.0)
+    gram, h = a.T @ a, a.T @ rng.standard_normal(n + 5) * rng.uniform(0.1, 100.0)
+    bound = _grad_bound(gram, h)
+    # A step z that sums to one with entries down to -_FEAS_TOL, which the
+    # loop keeps as x = max(z, 0): sum(x) is then slightly above one.
+    z = np.where(rng.random(n) < 0.5, -_FEAS_TOL * rng.random(n), rng.random(n))
+    z[0] = 1.0
+    z[z > 0] *= (1.0 - z[z < 0].sum()) / z[z > 0].sum()
+    for x in (rng.dirichlet(np.ones(n)), rng.dirichlet(np.full(n, 0.05)), np.eye(n)[rng.integers(n)],
+              np.maximum(z, 0.0)):
+        assert np.abs(gram @ x - h).max() <= bound
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-6])
