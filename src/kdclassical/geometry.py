@@ -84,6 +84,8 @@ class HullSystem:
     S = sum_k |P_k><P_k| is diagonal in the Weyl basis with eigenvalue
     c(a, b) = #{families (p, q) : p | a, q | b}. That gives the distance of
     a state from the span and its min-norm coefficients in closed form.
+    Those need no Gram, and :func:`decompose_pq_three`, which makes no hull
+    query, builds its system without one (``gram`` is None).
 
     A system built from a plain projector list keeps ``matrix``, one
     stacked-real column per projector (``gram`` is ``matrix.T @ matrix``),
@@ -94,7 +96,7 @@ class HullSystem:
     query the package makes itself runs on a family-built system.
     """
 
-    gram: np.ndarray
+    gram: np.ndarray | None
     states: np.ndarray | None = None
     weights: np.ndarray | None = None
     matrix: np.ndarray | None = None
@@ -105,10 +107,13 @@ class HullSystem:
         """d of the d x d operators the system describes."""
         return self.states.shape[0] if self.states is not None else math.isqrt(self.matrix.shape[0] // 2)
 
-    def off_span_distance(self, coeffs: np.ndarray) -> float:
+    # Each method takes one state's data or a stack of them, one per state
+    # along the leading axis, and gives a stacked state the same bits as the
+    # state alone.
+
+    def off_span_distance(self, coeffs: np.ndarray):
         """Frobenius distance of rho from the span, from its Weyl coefficients."""
-        off = coeffs[self.weights == 0.0]
-        return float(np.sqrt(np.vdot(off, off).real / coeffs.shape[0]))
+        return np.sqrt(_squared_norms(coeffs[..., self.weights == 0.0]) / self.dim)
 
     def min_norm_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
         """x_k = Re <psi_k| S^+ rho |psi_k>, the min-norm least-squares coefficients of rho."""
@@ -119,13 +124,20 @@ class HullSystem:
 
         Returned contiguous: the solver reads h on every step.
         """
-        return np.ascontiguousarray(np.einsum("ik,ik->k", self.states.conj(), op @ self.states).real)
+        return np.ascontiguousarray(np.einsum("ik,...ik->...k", self.states.conj(), op @ self.states).real)
 
-    def residual(self, x: np.ndarray, rho: np.ndarray) -> float:
+    def residual(self, x: np.ndarray, rho: np.ndarray):
         """||sum_k x_k |psi_k><psi_k| - rho||_F, in primal coordinates."""
-        r = np.dot(self.states * x, self.states.conj().T)
+        r = np.matmul(self.states * x[..., None, :], self.states.conj().T)
         r -= rho
-        return math.sqrt(np.vdot(r, r).real)
+        return np.sqrt(_squared_norms(r.reshape(*r.shape[:-2], -1)))
+
+
+def _squared_norms(v: np.ndarray):
+    """|v|^2 along the last axis: np.vdot(v, v).real, and for a stack one product per vector, which gives its bits."""
+    if v.ndim == 1:
+        return np.vdot(v, v).real
+    return np.matmul(v.conj()[..., None, :], v[..., :, None])[..., 0, 0].real
 
 
 def hull_system(source) -> HullSystem:
@@ -148,12 +160,13 @@ def hull_system(source) -> HullSystem:
     states = np.hstack([fam.states for fam in source])
     gram = np.abs(states.conj().T @ states)
     gram *= gram
-    c = frame_multiplicities(source)
-    return HullSystem(
-        gram=gram,
-        states=states,
-        weights=np.divide(1.0, c, out=np.zeros(c.shape), where=c > 0),
-    )
+    return HullSystem(gram=gram, states=states, weights=_weyl_weights(source))
+
+
+def _weyl_weights(families) -> np.ndarray:
+    """1/c(a, b) for the families' frame multiplicities c, 0 where c = 0."""
+    c = frame_multiplicities(families)
+    return np.divide(1.0, c, out=np.zeros(c.shape), where=c > 0)
 
 
 def frame_multiplicities(families) -> np.ndarray:
@@ -166,19 +179,19 @@ def weyl_coefficients(rho: np.ndarray) -> np.ndarray:
     """rho_hat[a, b] = tr((X^a Z^b)^dag rho), where X^a Z^b |j> = w^(bj) |j + a>.
 
     Row a is the discrete Fourier transform over j of the cyclic diagonal
-    rho[(j + a) mod d, j].
+    rho[(j + a) mod d, j]. A stack of operators gives a stack of tables.
     """
-    diagonals, dft = _weyl_frame(rho.shape[0])
-    return rho.take(diagonals) @ dft
+    diagonals, dft = _weyl_frame(rho.shape[-1])
+    return rho.reshape(*rho.shape[:-2], -1).take(diagonals, axis=-1) @ dft
 
 
 def from_weyl(coeffs: np.ndarray) -> np.ndarray:
     """The operator (1/d) sum_ab coeffs[a, b] X^a Z^b; inverts :func:`weyl_coefficients`."""
-    d = coeffs.shape[0]
+    d = coeffs.shape[-1]
     diagonals, dft = _weyl_frame(d)
-    out = np.empty(d * d, dtype=np.complex128)
-    out[diagonals] = coeffs @ dft.conj() / d  # the DFT matrix is symmetric
-    return out.reshape(d, d)
+    out = np.empty((*coeffs.shape[:-2], d * d), dtype=np.complex128)
+    out[..., diagonals] = coeffs @ dft.conj() / d  # the DFT matrix is symmetric
+    return out.reshape(coeffs.shape)
 
 
 @functools.lru_cache(maxsize=4)
@@ -316,9 +329,10 @@ def decompose_pq_three(
         raise ValueError("sets must be three distinct labels among A, B, C, D")
     rho = require_hermitian(rho, INPUT_GATE_TOL, d)
 
-    fams = lettered_families(pair, chosen)
-    system = hull_system([fams[name] for name in chosen])
-    labels = [label for name in chosen for label in fams[name].labels()]
+    fams = list(lettered_families(pair, chosen).values())
+    # The Weyl data alone: no hull query is made, so no Gram is built.
+    system = HullSystem(gram=None, states=np.hstack([fam.states for fam in fams]), weights=_weyl_weights(fams))
+    labels = [label for fam in fams for label in fam.labels()]
     weyl = weyl_coefficients(rho)
     span_residual = system.off_span_distance(weyl)
     if span_residual > tol.recon:
@@ -357,7 +371,7 @@ def hull_membership(
     projectors,
     tol: Tolerances = DEFAULT_TOL,
     labels=None,
-) -> MembershipVerdict:
+) -> MembershipVerdict | list[MembershipVerdict | None]:
     """Distance minimization over convex combinations of the projector list.
 
     ``projectors`` is a list of projectors or of families, or a
@@ -373,23 +387,48 @@ def hull_membership(
     from families (only for a state within ``tol.recon`` of their span),
     and from ``pinv_gram`` for one built from a projector list. The
     distance is computed in primal coordinates.
+
+    Against a system built from families, ``rho`` may also be a stack of m
+    states, an (m, d, d) array or a list of d x d states, decided together
+    (:func:`~kdclassical.solver.simplex_least_squares` on the stack). A
+    stack is checked as a whole, and a bad state in it raises what it
+    raises alone. The result is a list of m verdicts, each the one the state
+    gets alone, with None for a state whose solve did not converge, where a
+    single state raises SolverDidNotConverge.
     """
     system = projectors if isinstance(projectors, HullSystem) else hull_system(projectors)
+    if isinstance(rho, (list, tuple)) and rho and np.ndim(rho[0]) == 2:  # a list of states, which may not stack
+        for state in rho:
+            if np.shape(state) != (system.dim, system.dim):
+                require_hermitian(state, INPUT_GATE_TOL, system.dim)
     a = require_hermitian(rho, INPUT_GATE_TOL, system.dim)
-    trace = complex(a.trace())
-    if abs(trace - 1.0) > INPUT_GATE_TOL:
-        raise NotUnitTrace(f"trace is {trace!r}, expected 1")
+    trace = a.trace(axis1=-2, axis2=-1)
+    off = np.abs(trace - 1.0) > INPUT_GATE_TOL
+    if off.any():
+        raise NotUnitTrace(f"trace is {complex(trace[off][0])!r}, expected 1")
     if system.states is not None:
         h = system.expectations(a)
         weyl = weyl_coefficients(a)
-        candidate = system.min_norm_coefficients(weyl) if system.off_span_distance(weyl) <= tol.recon else None
+        near = system.off_span_distance(weyl) <= tol.recon
+        candidate = system.min_norm_coefficients(weyl) if near.any() else None
+        if a.ndim == 3 and candidate is not None:
+            candidate[~near] = np.nan  # no candidate for a state off the span
         coeffs = simplex_least_squares(system.gram, h, candidate=candidate)
         distance = system.residual(coeffs, a)
+    elif a.ndim == 3:
+        raise ValueError("a stack of states needs a system built from families")
     else:
         vec = stack_real([a]).reshape(-1)
         h = system.matrix.T @ vec
         coeffs = simplex_least_squares(system.gram, h, candidate=system.pinv_gram @ h)
-        distance = float(np.linalg.norm(system.matrix @ coeffs - vec))
+        distance = np.linalg.norm(system.matrix @ coeffs - vec)
+    if a.ndim == 3:
+        return [None if np.isnan(c).any() else _verdict(c, dist, tol, labels) for c, dist in zip(coeffs, distance)]
+    return _verdict(coeffs, distance, tol, labels)
+
+
+def _verdict(coeffs: np.ndarray, distance, tol: Tolerances, labels) -> MembershipVerdict:
+    distance = float(distance)
     if not distance <= tol.recon:  # NaN included
         return MembershipVerdict(member=False, certificate=None, distance=distance)
     labels = tuple(labels) if labels is not None else tuple(f"P[{k}]" for k in range(len(coeffs)))

@@ -13,8 +13,9 @@ the basis pair, the family-built hull system
 (:class:`~kdclassical.geometry.HullSystem`, from the families' state
 vectors), the dense projectors in hull mode only and, in perturb mode, the
 traceless direction basis (:class:`PerturbationBasis`) from the closed-form
-block of the all-real-table space. Per sample only the draw, its table and
-its hull solve remain.
+block of the all-real-table space. Per sample only the draw and its table
+remain; the hull solves run in stacks of samples (:data:`STACK_BYTES`),
+each state getting the verdict it gets alone.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .dft import BasisPair, dft_pair
 from .engine import classicality, kd_table
-from .exceptions import BadDimension, SolverDidNotConverge, TooLarge, ZeroDirection
+from .exceptions import BadDimension, TooLarge, ZeroDirection
 from .families import all_projectors, factorizations, pure_kd_set
 from .geometry import hull_membership, hull_system, stack_real
 # kd_real_basis and kd_real_condition are not called here, but benchmarks/tracing.py wraps them under this module.
@@ -206,11 +207,31 @@ def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndar
     return perturbation_state(f, x, d)
 
 
+# The probe hands its samples to the hull solver in stacks, whose states
+# share one active-set loop (solver._active_set_stack): each iteration
+# costs a fixed number of numpy calls, whatever the stack's height. The
+# stack's factor buffers, n x (n + 2) floats per state, are held to this
+# many bytes: 52 states at d = 6 (n = 24), 6 at d = 12, and from n = 128
+# on one, which runs the single loop (d = 30 has n = 240): there a solve
+# takes about 140 steps on products that are no longer small, and the
+# per-call cost that a stack shares is a small part of it. A stack that
+# leaves fewer than solver._MIN_STACK states to the active set (every
+# stack from d = 12 on) solves them one by one and shares only the input
+# checks, h, the Weyl step and the residual.
+STACK_BYTES = 256 * 1024
+
+
+def stack_height(d: int, families: int | None = None) -> int:
+    """States per stack of a probe at dimension d, from :data:`STACK_BYTES` (n as in :func:`setup_bytes`)."""
+    n = d * (len(factorizations(d)) if families is None else families)
+    return max(1, STACK_BYTES // (n * (n + 2) * 8))
+
+
 # The arrays each probe mode and command builds, as named in :func:`setup_bytes`.
 _SETUP_ARRAYS = {
-    "hull": ("states", "overlaps", "gram", "projectors"),
-    "perturb": ("states", "overlaps", "gram", "directions"),
-    "ginibre": ("states", "overlaps", "gram"),
+    "hull": ("states", "overlaps", "gram", "stack", "projectors"),
+    "perturb": ("states", "overlaps", "gram", "stack", "directions"),
+    "ginibre": ("states", "overlaps", "gram", "stack"),
     "member": ("states", "overlaps", "gram", "copies", "factor"),
     "span-rank": ("projectors", "flat"),
     "pure": ("json",),
@@ -228,6 +249,8 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
       of a family-built hull system;
     - overlaps: the n x n complex V^dag V its Gram is computed from;
     - gram: n x n reals;
+    - stack: the solver's factor buffers for one stack of
+      :func:`stack_height` states, n x (n + 2) reals each;
     - projectors: n d^2 complex, built as dense matrices;
     - directions: the 2d^2 x m traceless block, m being the real-table
       dimension, the SVD's left factor of the same shape, and the
@@ -256,6 +279,7 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
         "states": n * d * 16 + d * d * 8,
         "overlaps": n * n * 16,
         "gram": n * n * 8,
+        "stack": stack_height(d, families) * n * (n + 2) * 8,
         "projectors": n * d * d * 16,
         "directions": 2 * d * d * (3 * m - 1) * 8,
         "copies": 8 * n * d * 16,
@@ -296,8 +320,9 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
     order-independent. The basis pair, the family-built hull system and
     the perturbation directions are built once per call, after a memory
     estimate (:func:`setup_bytes`) that raises TooLarge when it exceeds the
-    machine's physical memory; per sample only the draw, its table and its
-    hull solve remain.
+    machine's physical memory; per sample only the draw and its table
+    remain, and the hull solves run in stacks of :func:`stack_height`
+    samples, drawn, tallied and archived in index order.
     solver_failures counts every sample whose hull solve did not converge,
     non-classical ones included; a classical sample among them is counted
     as classical_not_member, never archived, and left out of worst_margin,
@@ -319,32 +344,35 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
     candidates: list[tuple[int, np.ndarray, float]] = []
     start = time.perf_counter()
 
-    for index in range(config.n_samples):
-        rng = _rng(config.seed, index)
-        if config.mode == "hull":
-            rho = _simplex_mixture(rng, projectors)
-        elif config.mode == "perturb":
-            rho = sample_kd_boundary(config, directions, index=index)
-        else:
-            rho = _ginibre_state(rng, config.d)
+    height = stack_height(config.d)
+    for first in range(0, config.n_samples, height):
+        indices = range(first, min(first + height, config.n_samples))
+        states, verdicts = [], []
+        for index in indices:
+            rng = _rng(config.seed, index)
+            if config.mode == "hull":
+                rho = _simplex_mixture(rng, projectors)
+            elif config.mode == "perturb":
+                rho = sample_kd_boundary(config, directions, index=index)
+            else:
+                rho = _ginibre_state(rng, config.d)
+            states.append(rho)
+            verdicts.append(classicality(kd_table(rho, pair), tol))
 
-        verdict = classicality(kd_table(rho, pair), tol)
-        try:
-            membership = hull_membership(rho, system, tol)
-        except SolverDidNotConverge:
-            solver_failures += 1
-            membership = None
-
-        if not verdict.classical:
-            counts["not_classical"] += 1
-        elif membership is not None and membership.member:
-            counts["classical_and_member"] += 1
-        else:
-            counts["classical_not_member"] += 1
-            if membership is not None:
-                worst_margin = max(worst_margin, membership.distance)
-                if membership.distance > 10 * tol.recon:
-                    candidates.append((index, rho, membership.distance))
+        memberships = hull_membership(np.array(states), system, tol)
+        for index, rho, verdict, membership in zip(indices, states, verdicts, memberships):
+            if membership is None:
+                solver_failures += 1
+            if not verdict.classical:
+                counts["not_classical"] += 1
+            elif membership is not None and membership.member:
+                counts["classical_and_member"] += 1
+            else:
+                counts["classical_not_member"] += 1
+                if membership is not None:
+                    worst_margin = max(worst_margin, membership.distance)
+                    if membership.distance > 10 * tol.recon:
+                        candidates.append((index, rho, membership.distance))
 
     files: list[str] = []
     if out_dir is not None and candidates:

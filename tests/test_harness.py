@@ -27,8 +27,9 @@ from kdclassical import (
 )
 from kdclassical.families import PureFamily, all_projectors
 from kdclassical.geometry import hull_system, stack_real
-from kdclassical.harness import perturbation_basis, setup_bytes, traceless_real_table_directions
+from kdclassical.harness import STACK_BYTES, perturbation_basis, setup_bytes, stack_height, traceless_real_table_directions
 from kdclassical.kdreal import traceless_kd_real_block
+from kdclassical.solver import _FreeSetStack
 
 
 def test_sample_config_validation():
@@ -276,8 +277,8 @@ def test_probe_builds_no_dense_projector_or_basis_matrix(monkeypatch, mode):
 def test_failed_solves_stay_out_of_worst_margin(tmp_path, monkeypatch):
     import kdclassical.harness as harness_module
 
-    def explode(*args, **kwargs):
-        raise SolverDidNotConverge("stub")
+    def explode(states, *args, **kwargs):
+        return [None] * len(states)  # a stacked call reports each failed solve as None
 
     monkeypatch.setattr(harness_module, "hull_membership", explode)
     config = SampleConfig(d=6, seed=12721, n_samples=6, mode="perturb")
@@ -300,7 +301,11 @@ def test_setup_estimate_covers_the_built_arrays(d):
     # The traceless block and the SVD's left factor, both 2d^2 x m, are alive when the directions are copied out.
     block_bytes = 2 * d * d * m * 8
     # The Gram counts three times: it is computed from the complex overlaps V^dag V, n x n as well.
-    built = system.states.nbytes + system.weights.nbytes + 3 * system.gram.nbytes
+    # One stack's factor buffers, as the solver's stacked loop builds them (the single loop builds one state's).
+    height, n = stack_height(d), len(system.gram)
+    stack = _FreeSetStack(system.gram, np.zeros((height, n)), np.arange(height)).b.nbytes
+    assert stack <= STACK_BYTES or height == 1
+    built = system.states.nbytes + system.weights.nbytes + 3 * system.gram.nbytes + stack
     assert setup_bytes(d, "ginibre") == built
     assert setup_bytes(d, "perturb") == built + 2 * block_bytes + directions.nbytes
     assert setup_bytes(d, "hull") == built + sum(p.nbytes for p in projectors)
