@@ -134,9 +134,7 @@ class HullSystem:
 
 
 def _squared_norms(v: np.ndarray):
-    """|v|^2 along the last axis: np.vdot(v, v).real, and for a stack one product per vector, which gives its bits."""
-    if v.ndim == 1:
-        return np.vdot(v, v).real
+    """|v|^2 along the last axis, one product per vector, which gives the bits of np.vdot(v, v).real."""
     return np.matmul(v.conj()[..., None, :], v[..., :, None])[..., 0, 0].real
 
 
@@ -389,12 +387,12 @@ def hull_membership(
     distance is computed in primal coordinates.
 
     Against a system built from families, ``rho`` may also be a stack of m
-    states, an (m, d, d) array or a list of d x d states, decided together
-    (:func:`~kdclassical.solver.simplex_least_squares` on the stack). A
-    stack is checked as a whole, and a bad state in it raises what it
-    raises alone. The result is a list of m verdicts, each the one the state
-    gets alone, with None for a state whose solve did not converge, where a
-    single state raises SolverDidNotConverge.
+    states, an (m, d, d) array or a list of d x d states; a single state is
+    decided as a stack of one, on the same path. A stack is checked as a
+    whole, and a bad state in it raises what it raises alone. It gives a
+    list of m verdicts, each the one its state gets alone, None where the
+    solve did not converge; a single state gives its verdict or raises
+    SolverDidNotConverge (the failure convention of :mod:`~kdclassical.solver`).
     """
     system = projectors if isinstance(projectors, HullSystem) else hull_system(projectors)
     if isinstance(rho, (list, tuple)) and rho and np.ndim(rho[0]) == 2:  # a list of states, which may not stack
@@ -406,25 +404,25 @@ def hull_membership(
     off = np.abs(trace - 1.0) > INPUT_GATE_TOL
     if off.any():
         raise NotUnitTrace(f"trace is {complex(trace[off][0])!r}, expected 1")
-    if system.states is not None:
-        h = system.expectations(a)
-        weyl = weyl_coefficients(a)
-        near = system.off_span_distance(weyl) <= tol.recon
-        candidate = system.min_norm_coefficients(weyl) if near.any() else None
-        if a.ndim == 3 and candidate is not None:
-            candidate[~near] = np.nan  # no candidate for a state off the span
-        coeffs = simplex_least_squares(system.gram, h, candidate=candidate)
-        distance = system.residual(coeffs, a)
-    elif a.ndim == 3:
-        raise ValueError("a stack of states needs a system built from families")
-    else:
+    if system.states is None:
+        if a.ndim == 3:
+            raise ValueError("a stack of states needs a system built from families")
         vec = stack_real([a]).reshape(-1)
         h = system.matrix.T @ vec
         coeffs = simplex_least_squares(system.gram, h, candidate=system.pinv_gram @ h)
-        distance = np.linalg.norm(system.matrix @ coeffs - vec)
-    if a.ndim == 3:
-        return [None if np.isnan(c).any() else _verdict(c, dist, tol, labels) for c, dist in zip(coeffs, distance)]
-    return _verdict(coeffs, distance, tol, labels)
+        return _verdict(coeffs, np.linalg.norm(system.matrix @ coeffs - vec), tol, labels)
+    stack = a.reshape(-1, system.dim, system.dim)  # a single state is a stack of one
+    h = system.expectations(stack)
+    weyl = weyl_coefficients(stack)
+    near = system.off_span_distance(weyl) <= tol.recon
+    candidate = None
+    if near.any():  # NaN: no candidate for a state off the span
+        candidate = np.where(near[:, None], system.min_norm_coefficients(weyl), np.nan)
+    # A single state's h goes in 1-D, so that a solve that does not converge raises.
+    coeffs = simplex_least_squares(system.gram, h.reshape(*a.shape[:-2], -1), candidate=candidate).reshape(h.shape)
+    distance = system.residual(coeffs, stack)
+    verdicts = [None if np.isnan(c).any() else _verdict(c, dist, tol, labels) for c, dist in zip(coeffs, distance)]
+    return verdicts if a.ndim == 3 else verdicts[0]
 
 
 def _verdict(coeffs: np.ndarray, distance, tol: Tolerances, labels) -> MembershipVerdict:

@@ -21,6 +21,7 @@ each state getting the verdict it gets alone.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -54,6 +55,12 @@ class SampleConfig:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self) -> None:
+        for name in ("d", "seed", "n_samples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.mode not in MODES:
@@ -207,17 +214,18 @@ def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndar
     return perturbation_state(f, x, d)
 
 
-# The probe hands its samples to the hull solver in stacks, whose states
-# share one active-set loop (solver._active_set_stack): each iteration
-# costs a fixed number of numpy calls, whatever the stack's height. The
-# stack's factor buffers, n x (n + 2) floats per state, are held to this
-# many bytes: 52 states at d = 6 (n = 24), 6 at d = 12, and from n = 128
-# on one, which runs the single loop (d = 30 has n = 240): there a solve
-# takes about 140 steps on products that are no longer small, and the
-# per-call cost that a stack shares is a small part of it. A stack that
-# leaves fewer than solver._MIN_STACK states to the active set (every
-# stack from d = 12 on) solves them one by one and shares only the input
-# checks, h, the Weyl step and the residual.
+# The probe hands its samples to the hull solver in stacks. The solver
+# checks the Weyl step of a whole stack at once and, when enough states
+# are left undecided, runs one active-set loop for them all, each
+# iteration costing a fixed number of numpy calls whatever the stack's
+# height. The stack's factor buffers, n x (n + 2) floats per state, are
+# held to this many bytes: 52 states at d = 6 (n = 24), 6 at d = 12, and
+# from n = 128 on one, a stack of one like any single query (d = 30 has
+# n = 240): there a solve takes about 140 steps on products that are no
+# longer small, and the per-call cost that a stack shares is a small part
+# of it. A stack that leaves the solver too few undecided states for its
+# stacked loop (every stack from d = 12 on) solves them one by one and
+# shares only the input checks, h, the Weyl step and the residual.
 STACK_BYTES = 256 * 1024
 
 
@@ -349,13 +357,12 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
         indices = range(first, min(first + height, config.n_samples))
         states, verdicts = [], []
         for index in indices:
-            rng = _rng(config.seed, index)
             if config.mode == "hull":
-                rho = _simplex_mixture(rng, projectors)
+                rho = _simplex_mixture(_rng(config.seed, index), projectors)
             elif config.mode == "perturb":
-                rho = sample_kd_boundary(config, directions, index=index)
+                rho = sample_kd_boundary(config, directions, index=index)  # seeds its own generator
             else:
-                rho = _ginibre_state(rng, config.d)
+                rho = _ginibre_state(_rng(config.seed, index), config.d)
             states.append(rho)
             verdicts.append(classicality(kd_table(rho, pair), tol))
 

@@ -35,17 +35,20 @@ family-built :class:`~kdclassical.geometry.HullSystem`) passes it as
 nu = 0, and ends the solve when it passes the KKT test. Otherwise the
 active set runs from the best vertex, unchanged.
 
-A caller with many right-hand sides against one Gram (the probe's samples)
-passes h as an (m, n) stack. The candidate step is checked for all rows at
-once, and the rows it leaves undecided share one active-set loop when
-there are enough of them (:data:`_MIN_STACK`): each iteration makes one
-stacked KKT step, gradient, entering choice and append for every row, so
-numpy's per-call cost is paid once per iteration instead of once per row.
-The rows keep their factors in the buffer layout above, and a row that
-drops a column rebuilds its own. Every product is made per row, or per run
-of rows with free sets of one size, at that row's own size, so a row
-rounds exactly as it does alone and gets the same x, path and verdict. A
-row that does not converge comes back as NaN and the others are unaffected.
+Every call solves h as an (m, n) stack of right-hand sides against one
+Gram, a 1-D h (one query) as a stack of one. The candidate step is checked
+for all rows at once. When at least :data:`_MIN_STACK` rows are left
+undecided they share one active-set loop, each iteration making one
+stacked KKT step, gradient, entering choice and append, so numpy's
+per-call cost is paid once per iteration instead of once per row; fewer
+rows run the single loop one by one. A stacked row keeps its factor in the
+buffer layout above and rebuilds its own on a drop, and every product is
+made per row, or per run of rows with free sets of one size, so a row
+rounds exactly as it does alone and gets the same x, path and verdict.
+The failure convention of every hull query: a row that does not converge
+is NaN in a stack, without touching the others (a None verdict from
+:func:`~kdclassical.geometry.hull_membership`), and a 1-D h raises
+SolverDidNotConverge.
 Deterministic for a fixed column order; re-entrant (no shared state).
 numpy only.
 """
@@ -91,31 +94,40 @@ def simplex_least_squares(
     columns, so no point of the simplex is closer. Otherwise the active set
     starts from the best vertex as usual.
 
-    ``h`` may also be an (m, n) stack of right-hand sides against the one
-    Gram, with ``candidate`` (m, n) as well, a row of NaN meaning none for
-    that row. Then x is (m, n), and a row whose solve hits the iteration cap
-    comes back as NaN, where a single ``h`` raises SolverDidNotConverge. The
-    rows the candidate leaves undecided share one active-set loop
-    (:func:`_active_set_stack`) when there are at least :data:`_MIN_STACK`
-    of them, and run the single loop one by one otherwise. Either way each
-    row gets the x that it gets alone.
+    ``h`` is one right-hand side or an (m, n) stack of them, with
+    ``candidate`` of the same shape (a row of NaN: none for that row), and
+    x has the shape of h. A 1-D h is a stack of one. The rows the candidate
+    leaves undecided run :func:`_active_set_stack` or :func:`_active_set`
+    as the module docstring says, and a row that does not converge is NaN,
+    or raises SolverDidNotConverge for a 1-D h.
     """
     gram = np.asarray(gram, dtype=float)
     h = np.asarray(h, dtype=float)
     n = h.shape[-1] if h.ndim else 0
     if n == 0:
         raise ValueError("need at least one column")
+    if h.ndim > 2:
+        raise ValueError(f"h must be one right-hand side or a stack of them, got shape {h.shape}")
     if max_iter is None:
         max_iter = 10 * n + 100
-    if h.ndim == 2:
-        return _solve_stack(gram, h, max_iter, candidate)
-    h = h.reshape(-1)
-
-    if candidate is not None:
-        z, nu = _solve_free(gram, h, np.arange(n), candidate=candidate)
-        if _feasible_and_stationary(gram, h, z, nu):
-            return np.maximum(z, 0.0)
-    return _active_set(gram, h, max_iter)
+    rows = h.reshape(-1, n)
+    if candidate is None:
+        x, todo = np.empty(rows.shape), np.arange(len(rows))
+    else:
+        z, _ = _solve_free(gram, rows, range(n), candidate=np.asarray(candidate, dtype=float).reshape(rows.shape))
+        x, todo = np.maximum(z, 0.0), (~_feasible_and_stationary_rows(gram, rows, z)).nonzero()[0]
+    # Every row left to do is solved, or made NaN when it does not converge.
+    if len(todo) >= _MIN_STACK:
+        _active_set_stack(gram, rows, todo, max_iter, x)
+    else:
+        for r in todo:
+            try:
+                x[r] = _active_set(gram, rows[r], max_iter)
+            except SolverDidNotConverge:
+                if h.ndim == 1:
+                    raise
+                x[r] = np.nan
+    return x if h.ndim == 2 else x[0]
 
 
 def _active_set(gram: np.ndarray, h: np.ndarray, max_iter: int) -> np.ndarray:
@@ -173,27 +185,6 @@ def _drop_blocking(gram, h, x, factor: _FreeSetFactor, z: np.ndarray, nu: float)
     return z, nu
 
 
-def _solve_stack(gram: np.ndarray, h: np.ndarray, max_iter: int, candidate) -> np.ndarray:
-    """simplex_least_squares for an (m, n) stack of h; rows that do not converge are NaN."""
-    m, n = h.shape
-    x = np.full((m, n), np.nan)
-    todo = np.arange(m)
-    if candidate is not None:
-        z, _ = _solve_free(gram, h, np.arange(n), candidate=candidate)
-        decided = _feasible_and_stationary_rows(gram, h, z)
-        x[decided] = np.maximum(z[decided], 0.0)
-        todo = todo[~decided]
-    if len(todo) >= _MIN_STACK:
-        _active_set_stack(gram, h, todo, max_iter, x)
-        return x
-    for r in todo:
-        try:
-            x[r] = _active_set(gram, h[r], max_iter)
-        except SolverDidNotConverge:
-            pass
-    return x
-
-
 def _active_set_stack(gram: np.ndarray, h: np.ndarray, todo: np.ndarray, max_iter: int, out: np.ndarray) -> None:
     """The loop of :func:`_active_set` for the rows ``todo`` of h at once, writing each x into ``out``.
 
@@ -203,11 +194,12 @@ def _active_set_stack(gram: np.ndarray, h: np.ndarray, todo: np.ndarray, max_ite
     exactly as the single loop would round it. A row whose step has a
     negative entry drops its blocking columns alone, rebuilding its own
     factor (:func:`_drop_blocking`), and a row leaves the stack when it
-    passes the KKT test. A row fails, and stays NaN in ``out``, when its
+    passes the KKT test. A row fails, and is NaN in ``out``, when its
     drops exceed their cap or it is still in the stack after ``max_iter``
     iterations.
     """
     n = gram.shape[0]
+    out[todo] = np.nan
     stack = _FreeSetStack(gram, h[todo], todo)
     start = np.argmin(gram.diagonal() - 2.0 * stack.h, axis=1)
     stack.x[np.arange(len(todo)), start] = 1.0
@@ -257,22 +249,17 @@ def _grad_bound(gram: np.ndarray, h: np.ndarray):
     return 2.0 * (float(np.abs(gram).max()) + np.abs(h).max(axis=-1))
 
 
-def _feasible_and_stationary(gram: np.ndarray, h: np.ndarray, z: np.ndarray, nu: float) -> bool:
-    """The KKT test of a step with every column free: z feasible, grad + nu = 0 everywhere."""
-    if not (np.isfinite(z).all() and z.min() >= -_FEAS_TOL and abs(z.sum() - 1.0) <= _FEAS_TOL * z.size):
-        return False
-    grad = gram @ z - h
-    return float(np.abs(grad + nu).max()) <= _DUAL_TOL * max(1.0, float(np.abs(grad).max()))
-
-
 def _feasible_and_stationary_rows(gram: np.ndarray, h: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """:func:`_feasible_and_stationary` for each row of a stack of steps with nu = 0, NaN rows failing."""
-    feasible = np.isfinite(z).all(axis=1) & (z.min(axis=1) >= -_FEAS_TOL)
-    feasible &= np.abs(z.sum(axis=1) - 1.0) <= _FEAS_TOL * z.shape[1]
+    """The KKT test of each row of a stack of steps with every column free and nu = 0: z feasible, grad = 0 everywhere.
+
+    A NaN or infinite entry fails the sign or the sum test, and with nu = 0
+    max |grad + nu| <= _DUAL_TOL max(1, max |grad|) reads max |grad| <= _DUAL_TOL.
+    """
+    feasible = (z.min(axis=1) >= -_FEAS_TOL) & (np.abs(z.sum(axis=1) - 1.0) <= _FEAS_TOL * z.shape[1])
     if not feasible.any():
         return feasible
     grad = np.matmul(gram, z[:, :, None])[:, :, 0] - h  # per row, as alone
-    return feasible & (np.abs(grad).max(axis=1) <= _DUAL_TOL * np.maximum(1.0, np.abs(grad).max(axis=1)))
+    return feasible & (np.abs(grad).max(axis=1) <= _DUAL_TOL)
 
 
 class _FreeSetFactor:

@@ -39,6 +39,33 @@ def test_sample_config_validation():
         SampleConfig(d=4, seed=1, n_samples=5, mode="walk")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("d", 6.5, "d must be an integer"),
+        ("d", 6.0, "d must be an integer"),
+        ("d", True, "d must be an integer"),
+        ("d", "6", "d must be an integer"),
+        ("n_samples", 2.0, "n_samples must be an integer"),
+        ("n_samples", True, "n_samples must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", False, "seed must be an integer"),
+        ("seed", None, "seed must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+    ],
+)
+def test_sample_config_rejects_non_integers_and_negative_seeds(field, value, message):
+    # Accepted, a float d would only fail later, inside probe_conjecture, with a TypeError.
+    fields = {"d": 6, "seed": 1, "n_samples": 2, "mode": "perturb", field: value}
+    with pytest.raises(ValueError, match=message):
+        SampleConfig(**fields)
+
+
+def test_sample_config_takes_numpy_integers():
+    config = SampleConfig(d=np.int64(4), seed=np.int64(0), n_samples=np.int32(1), mode="hull")
+    assert probe_conjecture(config).counts["classical_and_member"] == 1
+
+
 def test_hull_point_single_projector():
     pair = dft_pair(3)
     config = SampleConfig(d=3, seed=7, n_samples=1, mode="hull")

@@ -100,6 +100,46 @@ def test_a_stack_gives_each_state_its_single_verdict(d, monkeypatch):
             assert np.abs(verdict.certificate.coefficients - alone.certificate.coefficients).max() <= 1e-12
 
 
+class SolverResults:
+    """Records the x of every solve hull_membership makes."""
+
+    def __init__(self, monkeypatch):
+        self.x = []
+        real = geometry.simplex_least_squares
+
+        def recorded(gram, h, max_iter=None, candidate=None):
+            x = real(gram, h, max_iter, candidate)
+            self.x.append(x)
+            return x
+
+        monkeypatch.setattr(geometry, "simplex_least_squares", recorded)
+
+
+@pytest.mark.parametrize("d", [6, 9, 30])
+def test_a_single_state_is_a_stack_of_one(d, monkeypatch):
+    # Every d = 30 probe sends its states as stacks of one, and kd member a
+    # single state: the two must agree to the last bit, off the span (a
+    # Ginibre state, solved by the active set) and on it (a perturbation
+    # state, decided by the Weyl step).
+    assert stack_height(30) == 1
+    system = family_system(d)
+    states = {"off span": ginibre(d, 1)[0], "in span": perturbed(d, [0])[0]}
+    for where, rho in states.items():
+        near = system.off_span_distance(weyl_coefficients(rho)) <= 1e-9
+        assert near == (where == "in span")
+        solves = SolverResults(monkeypatch)
+        alone = hull_membership(rho, system)
+        (stacked,) = hull_membership(rho[None], system)
+        x_alone, x_stacked = solves.x
+        n = len(system.gram)
+        assert x_alone.shape == (n,) and x_stacked.shape == (1, n)  # a single state's h goes in 1-D
+        assert np.array_equal(x_alone, x_stacked[0])
+        assert stacked.distance == alone.distance
+        assert stacked.member == alone.member == near
+        if alone.member:
+            assert np.array_equal(stacked.certificate.coefficients, alone.certificate.coefficients)
+
+
 def test_readme_sample_235_in_its_probe_stack():
     # At n_samples = 236 the last stack of 52 holds samples 208-235; at 250, samples 208-249.
     system = family_system(6)
@@ -133,12 +173,16 @@ def test_a_row_at_the_iteration_cap_fails_alone(monkeypatch):
     x = simplex_least_squares(system.gram, h, max_iter=cap)
     assert loop.rows == [10]
     for row, x_row, needed in zip(h, x, need):
+        # A stack of one fails as a row of NaN; a 1-D h raises with the loop's message.
+        (x_one,) = simplex_least_squares(system.gram, row[None], max_iter=cap)
         if needed > cap:
-            assert np.isnan(x_row).all()
-            with pytest.raises(SolverDidNotConverge):
+            assert np.isnan(x_row).all() and np.isnan(x_one).all()
+            with pytest.raises(SolverDidNotConverge, match=f"^no optimality certificate after {cap} iterations$"):
                 simplex_least_squares(system.gram, row, max_iter=cap)
         else:
-            assert np.abs(x_row - simplex_least_squares(system.gram, row, max_iter=cap)).max() <= 1e-12
+            x_alone = simplex_least_squares(system.gram, row, max_iter=cap)
+            assert np.array_equal(x_one, x_alone)
+            assert np.abs(x_row - x_alone).max() <= 1e-12
 
 
 def test_a_failed_row_is_none_and_the_probe_counts_it_alone(monkeypatch):
@@ -157,7 +201,8 @@ def test_a_failed_row_is_none_and_the_probe_counts_it_alone(monkeypatch):
     for rho, verdict, needed in zip(rhos, verdicts, need):
         if needed > cap:
             assert verdict is None
-            with pytest.raises(SolverDidNotConverge):
+            assert hull_membership(rho[None], system) == [None]
+            with pytest.raises(SolverDidNotConverge, match=f"^no optimality certificate after {cap} iterations$"):
                 hull_membership(rho, system)
         else:
             assert verdict.distance == hull_membership(rho, system).distance
@@ -196,6 +241,13 @@ def test_a_stack_needs_a_system_built_from_families():
     projectors, _ = all_projectors(pure_kd_set(dft_pair(6)))
     with pytest.raises(ValueError, match="families"):
         hull_membership(np.array(ginibre(6, 2)), projectors)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, 0), (2, 1, 3)])
+def test_h_is_one_right_hand_side_or_a_stack_of_them(shape):
+    # A 3-D h would otherwise be read as a stack and come back as its first row.
+    with pytest.raises(ValueError):
+        simplex_least_squares(np.eye(3), np.full(shape, 0.1))
 
 
 def test_stack_heights_from_the_byte_budget():
