@@ -228,6 +228,8 @@ def _cmd_real_dim(args) -> int:
 
 def _cmd_span_rank(args) -> int:
     chosen = "all" if args.sets is None else args.sets.upper()
+    if not chosen:
+        raise ValueError("--sets names no family; give letters among A, B, C, D")
     require_memory(args.d, "span-rank", families=None if args.sets is None else len(set(chosen)))
     pair = dft_pair(args.d)
     if args.sets is None:

@@ -52,12 +52,17 @@ class ClassicalityVerdict:
         }
 
 
-def kd_table(rho: np.ndarray, pair: BasisPair) -> KDTable:
-    """Table with values[i][j] = conj(U_ij) * (rho @ U)[i, j]."""
+def kd_table(rho: np.ndarray, pair: BasisPair) -> KDTable | list[KDTable]:
+    """Table with values[i][j] = conj(U_ij) * (rho @ U)[i, j], or a list of m tables for an (m, d, d) stack.
+
+    A stack is checked and multiplied at once; each table equals its state's own, its values a read-only view."""
     a = require_hermitian(rho, INPUT_GATE_TOL, pair.dim)
     values = pair.transition.conj() * (a @ pair.transition)
     values.setflags(write=False)
-    return KDTable(dim=pair.dim, values=values, source_trace=float(a.trace().real))
+    if a.ndim == 2:
+        return KDTable(dim=pair.dim, values=values, source_trace=float(a.trace().real))
+    traces = a.trace(axis1=1, axis2=2).real.tolist()
+    return [KDTable(dim=pair.dim, values=v, source_trace=t) for v, t in zip(values, traces)]
 
 
 def classicality(table: KDTable, tol: Tolerances = DEFAULT_TOL) -> ClassicalityVerdict:

@@ -13,9 +13,9 @@ the basis pair, the family-built hull system
 (:class:`~kdclassical.geometry.HullSystem`, from the families' state
 vectors), the dense projectors in hull mode only and, in perturb mode, the
 traceless direction basis (:class:`PerturbationBasis`) from the closed-form
-block of the all-real-table space. Per sample only the draw and its table
-remain; the hull solves run in stacks of samples (:data:`STACK_BYTES`),
-each state getting the verdict it gets alone.
+block of the all-real-table space. Per sample only the draw and its verdict
+remain; the tables, the Ginibre products g g^H and the hull solves are made
+per stack of samples (:data:`STACK_BYTES`), each state getting what it gets alone.
 """
 
 from __future__ import annotations
@@ -231,6 +231,8 @@ STACK_BYTES = 256 * 1024
 
 def stack_height(d: int, families: int | None = None) -> int:
     """States per stack of a probe at dimension d, from :data:`STACK_BYTES` (n as in :func:`setup_bytes`)."""
+    if families is not None and families < 1:  # setup_bytes sizes its stack here, so it raises too
+        raise ValueError(f"need at least one family, got {families}")
     n = d * (len(factorizations(d)) if families is None else families)
     return max(1, STACK_BYTES // (n * (n + 2) * 8))
 
@@ -312,10 +314,15 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _ginibre_states(rngs, d: int) -> np.ndarray:
+    """The (m, d, d) stack of g g^H / tr(g g^H), one complex Ginibre draw g per generator."""
+    g = np.array([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for rng in rngs])
+    rho = g @ g.conj().swapaxes(-1, -2)
+    return rho / rho.trace(axis1=-2, axis2=-1).real[:, None, None]
+
+
 def _ginibre_state(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rho = g @ g.conj().T
-    return rho / rho.trace().real
+    return _ginibre_states([rng], d)[0]
 
 
 def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) -> ProbeReport:
@@ -328,9 +335,9 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
     order-independent. The basis pair, the family-built hull system and
     the perturbation directions are built once per call, after a memory
     estimate (:func:`setup_bytes`) that raises TooLarge when it exceeds the
-    machine's physical memory; per sample only the draw and its table
-    remain, and the hull solves run in stacks of :func:`stack_height`
-    samples, drawn, tallied and archived in index order.
+    machine's physical memory; per sample only the draw and its verdict
+    remain, tables and hull solves are made in stacks of :func:`stack_height`
+    samples, and samples are drawn, tallied and archived in index order.
     solver_failures counts every sample whose hull solve did not converge,
     non-classical ones included; a classical sample among them is counted
     as classical_not_member, never archived, and left out of worst_margin,
@@ -355,18 +362,15 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
     height = stack_height(config.d)
     for first in range(0, config.n_samples, height):
         indices = range(first, min(first + height, config.n_samples))
-        states, verdicts = [], []
-        for index in indices:
-            if config.mode == "hull":
-                rho = _simplex_mixture(_rng(config.seed, index), projectors)
-            elif config.mode == "perturb":
-                rho = sample_kd_boundary(config, directions, index=index)  # seeds its own generator
-            else:
-                rho = _ginibre_state(_rng(config.seed, index), config.d)
-            states.append(rho)
-            verdicts.append(classicality(kd_table(rho, pair), tol))
+        if config.mode == "hull":
+            states = np.array([_simplex_mixture(_rng(config.seed, index), projectors) for index in indices])
+        elif config.mode == "perturb":  # each draw seeds its own generator
+            states = np.array([sample_kd_boundary(config, directions, index=index) for index in indices])
+        else:
+            states = _ginibre_states([_rng(config.seed, index) for index in indices], config.d)
+        verdicts = [classicality(table, tol) for table in kd_table(states, pair)]
 
-        memberships = hull_membership(np.array(states), system, tol)
+        memberships = hull_membership(states, system, tol)
         for index, rho, verdict, membership in zip(indices, states, verdicts, memberships):
             if membership is None:
                 solver_failures += 1

@@ -2,12 +2,19 @@
 
 Solves  minimize ||A x - b||_2  subject to  x >= 0, sum(x) = 1  from the
 Gram G = A^T A and h = A^T b alone, so a caller never needs A itself: the
-objective is x.G x - 2 h.x + ||b||^2. The iteration is a
-primal active-set iteration (Lawson & Hanson, *Solving Least Squares
-Problems*, 1974): on the current free set F the equality-constrained normal
-equations are solved through their KKT system, blocking variables are
-dropped along feasible line steps, and variables enter by the most negative
-reduced cost.
+objective is x.G x - 2 h.x + ||b||^2. The iteration is a primal active-set
+iteration (Lawson & Hanson, *Solving Least Squares Problems*, 1974): on the
+current free set F the equality-constrained normal equations are solved
+through their KKT system, blocking variables are dropped along feasible
+line steps, and variables enter by reduced cost.
+
+Ties are broken by the smallest subscript (Bland, *Math. Oper. Res.* 2,
+1977), so that roundoff cannot re-route the path: the families' symmetry
+makes reduced costs tie to the last bit. The entering column is the lowest
+index whose reduced cost is within _TIE_BAND max(1, B) of the most
+negative one (B the gradient bound below), and a line step zeroes every
+blocking variable whose ratio is within a relative _TIE_BAND of the
+smallest; the termination test still reads the minimum.
 
 The iteration keeps the inverse Cholesky factor R = L^-1 of the free-set
 Gram G_F = L L^T, with u = R 1 and w = R h_F (h = A^T b), in one buffer
@@ -15,16 +22,17 @@ whose row i is [u_i, w_i, R_i.], and u.u and u.w as running sums. The KKT
 step is then nu = (u.w - 1) / (u.u) and z = R^T (w - nu u), one product
 with R and no factorization. An entering column appends one row in O(k^2)
 for k free columns, from l = R G[F, j] and the one product l [u, w, R]. A
-dropped column (about one per solve on the probe workloads, against up to
-137 entering ones at d = 30) rebuilds R, u.u and u.w from a Cholesky
-factorization of the reduced free set. When a pivot is not safely positive
-(a column nearly in the span of the free ones) the factor is marked
-invalid until the next rebuild, and the step falls back to the
-minimum-norm least-squares solution of the bordered KKT matrix, singular
-or not; that fallback is also taken when the factor gives a non-finite
-step. Termination is by the KKT optimality test; its scale max |grad| is
-computed only when the most negative reduced cost does not already fail
-the test against a bound B >= max |grad| fixed per solve. The caller
+dropped column is removed in O(k^2) too (Gill, Golub, Murray & Saunders,
+*Math. Comp.* 28, 1974): a chain of Givens rotations of the rows below it,
+in closed form, gathers its column of R into one row, and that row and
+column are deleted. When a pivot is not safely positive (a column nearly
+in the span of the free ones) the factor is marked invalid until the next
+drop rebuilds it by appending, column by column, and the step falls back
+to the minimum-norm least-squares solution of the bordered KKT matrix,
+singular or not; that fallback is also taken when the factor gives a
+non-finite step. Termination is by the KKT optimality test; its scale
+max |grad| is computed only when the most negative reduced cost does not
+already fail the test against a bound B >= max |grad| fixed per solve. The caller
 computes the distance ||A x - b|| from the returned x in its own
 coordinates, since x.G x - 2 h.x + ||b||^2 loses the small distances to
 cancellation.
@@ -42,7 +50,7 @@ undecided they share one active-set loop, each iteration making one
 stacked KKT step, gradient, entering choice and append, so numpy's
 per-call cost is paid once per iteration instead of once per row; fewer
 rows run the single loop one by one. A stacked row keeps its factor in the
-buffer layout above and rebuilds its own on a drop, and every product is
+buffer layout above and downdates its own on a drop, and every product is
 made per row, or per run of rows with free sets of one size, so a row
 rounds exactly as it does alone and gets the same x, path and verdict.
 The failure convention of every hull query: a row that does not converge
@@ -68,6 +76,10 @@ _DUAL_TOL = 1e-11  # relative to max |grad|; a reduced cost sums n Gram products
 # of that difference; below it the factor is not used. On the probe
 # problems every pivot stays above 0.04 G_jj.
 _PIVOT_TOL = 1e-10
+# Reduced costs within _TIE_BAND max(1, B) of the minimum, and blocking
+# ratios within a relative _TIE_BAND of the smallest, are tied: far above
+# the few ulps of B by which the families' reduced costs tie, below _DUAL_TOL.
+_TIE_BAND = 1e-12
 # An iteration of the stacked loop costs a fixed number of numpy calls,
 # several times those of the single loop, and each row's drops still cost
 # what they cost alone. Timed on Ginibre and perturbation states at d = 6,
@@ -140,12 +152,13 @@ def _active_set(gram: np.ndarray, h: np.ndarray, max_iter: int) -> np.ndarray:
     x[start] = 1.0
     factor = _FreeSetFactor(gram, h)
     factor.append(start)
-    cutoff = -_DUAL_TOL * max(1.0, _grad_bound(gram, h))
+    scale = max(1.0, _grad_bound(gram, h))
+    cutoff, band = -_DUAL_TOL * scale, _TIE_BAND * scale
     grad, reduced = np.empty(n), np.empty(n)
 
     for _ in range(max_iter):
         z, nu = _solve_free(gram, h, factor.free, factor)
-        if z.min() < -_FEAS_TOL:
+        if z[z.argmin()] < -_FEAS_TOL:  # z.min() would go through a Python-level wrapper, about 1 us more
             z, nu = _drop_blocking(gram, h, x, factor, z, nu)
         free = factor.free
         x[free] = np.maximum(z, 0.0)
@@ -155,29 +168,38 @@ def _active_set(gram: np.ndarray, h: np.ndarray, max_iter: int) -> np.ndarray:
         np.subtract(np.matmul(gram, x, out=grad), h, out=grad)
         np.add(grad, nu, out=reduced)
         reduced[free] = 0.0
-        entering = int(reduced.argmin())
-        cost = reduced[entering]
+        cost = reduced[reduced.argmin()]
         # cutoff <= the test's own threshold, so below it the test fails.
         if cost >= cutoff and cost >= -_DUAL_TOL * max(1.0, float(np.abs(grad).max())):
             return x
-        factor.append(entering)
+        # The lowest index within the band of cost < 0, and at most cost / 2, so never a free column's 0.
+        factor.append(int((reduced <= min(cost + band, 0.5 * cost)).argmax()))
 
     raise SolverDidNotConverge(f"no optimality certificate after {max_iter} iterations")
 
 
 def _drop_blocking(gram, h, x, factor: _FreeSetFactor, z: np.ndarray, nu: float) -> tuple[np.ndarray, float]:
-    """While the KKT step z has a negative entry, step x toward it until the first free variable hits zero, drop it and step again."""
+    """While the KKT step z has a negative entry, step x toward it until the first free variable hits zero, drop it and step again.
+
+    Every variable tied for the smallest ratio is zeroed, so that none is
+    kept by the sign of a roundoff residue. The zeroed ones are dropped by
+    :meth:`_FreeSetFactor.drop`, last position first (a rebuild if invalid).
+    """
     inner = 0
     while z.min() < -_FEAS_TOL:
         free = factor.free
         xf = x[free]
-        neg = z < -_FEAS_TOL
+        neg = np.flatnonzero(z < -_FEAS_TOL)
         ratios = xf[neg] / (xf[neg] - z[neg])
         alpha = float(ratios.min())
         xf = xf + alpha * (z - xf)
-        xf[np.where(neg)[0][np.argmin(ratios)]] = 0.0
+        xf[neg[ratios <= alpha * (1.0 + _TIE_BAND)]] = 0.0
         x[free] = np.maximum(xf, 0.0)
-        factor.rebuild(free[xf > 0.0])
+        if factor.valid:
+            for i in np.flatnonzero(xf <= 0.0)[::-1]:
+                factor.drop(int(i))
+        else:
+            factor.rebuild(free[xf > 0.0])
         z, nu = _solve_free(gram, h, factor.free, factor)
         inner += 1
         if inner > len(factor.cols) + 10:
@@ -192,7 +214,7 @@ def _active_set_stack(gram: np.ndarray, h: np.ndarray, todo: np.ndarray, max_ite
     append, the step and the append with one product per run of rows that
     share a free-set size (:class:`_FreeSetStack`), so that every row rounds
     exactly as the single loop would round it. A row whose step has a
-    negative entry drops its blocking columns alone, rebuilding its own
+    negative entry drops its blocking columns alone, downdating its own
     factor (:func:`_drop_blocking`), and a row leaves the stack when it
     passes the KKT test. A row fails, and is NaN in ``out``, when its
     drops exceed their cap or it is still in the stack after ``max_iter``
@@ -205,7 +227,8 @@ def _active_set_stack(gram: np.ndarray, h: np.ndarray, todo: np.ndarray, max_ite
     stack.x[np.arange(len(todo)), start] = 1.0
     stack.append(start)
     # Per row, as in the single loop: below the cutoff the test fails.
-    cutoff = -_DUAL_TOL * np.maximum(1.0, _grad_bound(gram, stack.h))
+    scale = np.maximum(1.0, _grad_bound(gram, stack.h))
+    cutoff, band = -_DUAL_TOL * scale, _TIE_BAND * scale
 
     for _ in range(max_iter):
         z, nu = _solve_free(gram, stack.h, stack.free, stack)
@@ -225,8 +248,8 @@ def _active_set_stack(gram: np.ndarray, h: np.ndarray, todo: np.ndarray, max_ite
         reduced = np.zeros(stack.x.shape)
         np.add(grad, nu[:, None], out=reduced[:, :n])
         reduced[rows[:, None], free] = 0.0
-        entering = reduced.argmin(axis=1)
-        cost = reduced[rows, entering]
+        cost = reduced.min(axis=1)
+        entering = (reduced <= np.minimum(cost + band, 0.5 * cost)[:, None]).argmax(axis=1)  # as in the single loop
         done = cost >= cutoff
         if done.any():
             done &= cost >= -_DUAL_TOL * np.maximum(1.0, np.abs(grad).max(axis=1))
@@ -240,7 +263,7 @@ def _active_set_stack(gram: np.ndarray, h: np.ndarray, todo: np.ndarray, max_ite
             if dropping.size:
                 rows = rows[np.argsort(-stack.k[rows], kind="stable")]
             stack.keep(rows)
-            cutoff, entering = cutoff[rows], entering[rows]
+            cutoff, band, entering = cutoff[rows], band[rows], entering[rows]
         stack.append(entering)
 
 
@@ -269,9 +292,9 @@ class _FreeSetFactor:
     for G_F = L L^T (lower triangular), ``u[:k]`` is R 1 and ``w[:k]`` is
     R h_F, all views of ``b``, which is sized for every column. ``uu`` and
     ``uw`` are u.u and u.w, summed as rows are appended and recomputed by
-    :meth:`rebuild`. ``valid`` is False while some pivot of F was not
-    safely positive; the free set is still tracked then, and the next
-    :meth:`rebuild` tries again.
+    :meth:`drop` and :meth:`rebuild`. ``valid`` is False while some pivot
+    of F was not safely positive; the free set is still tracked then, and
+    the next :meth:`rebuild` tries again.
     """
 
     def __init__(self, gram: np.ndarray, h: np.ndarray, b: np.ndarray | None = None, cols: np.ndarray | None = None):
@@ -312,24 +335,33 @@ class _FreeSetFactor:
         self.uu += u_k * u_k
         self.uw += u_k * w_k
 
+    def drop(self, i: int) -> None:
+        """Remove free position i from a valid factor in O(k^2), by Givens rotations in closed form.
+
+        For the buffer rows b_r from r = i on, s_r = R[r, i], rho_r^2 =
+        sum_{j<=r} s_j^2 and a_r = sum_{j<=r} s_j b_j / rho_r, the rows r > i
+        become (rho_{r-1} b_r - s_r a_{r-1}) / rho_r. R^T R, u and w stay
+        consistent, and a_{k-1} alone keeps an entry in column i; deleting it
+        and column i leaves the factor of the free set without i.
+        """
+        k = self.k
+        rows = self.b[i:k, : k + 2]
+        s = rows[:, i + 2]
+        rho = np.sqrt(np.cumsum(s * s))
+        a = np.cumsum(s[:, None] * rows, axis=0) / rho[:, None]
+        new = (rho[:-1, None] * rows[1:] - s[1:, None] * a[:-1]) / rho[1:, None]
+        self.b[i : k - 1, : i + 2] = new[:, : i + 2]
+        self.b[i : k - 1, i + 2 : k + 1] = new[:, i + 3 :]
+        self.cols[i : k - 1] = self.cols[i + 1 : k]
+        self.k = k - 1
+        u, w = self.u[: k - 1], self.w[: k - 1]
+        self.uu, self.uw = float(u @ u), float(u @ w)
+
     def rebuild(self, cols: np.ndarray) -> None:
-        """Make F = cols and refactor G_F from scratch."""
-        k = len(cols)
-        self.k = k
-        self.cols[:k] = cols
-        g = self.gram.take(cols, axis=0).take(cols, axis=1)
-        try:
-            low = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            self.valid = False
-            return
-        self.valid = bool((low.diagonal() ** 2 > _PIVOT_TOL * g.diagonal()).all())
-        if self.valid:
-            r = np.tril(np.linalg.inv(low))
-            self.r[:k, :k] = r
-            u = self.u[:k] = r.sum(axis=1)
-            w = self.w[:k] = r @ self.h.take(cols)
-            self.uu, self.uw = float(u @ u), float(u @ w)
+        """Make F = cols and refactor G_F from scratch, appending its columns one by one to an empty factor."""
+        self.k, self.uu, self.uw, self.valid = 0, 0.0, 0.0, True
+        for j in np.asarray(cols).tolist():
+            self.append(j)
 
     def solve(self) -> tuple[np.ndarray, float]:
         """The KKT step (z, nu) on F: nu = (u.w - 1) / (u.u), z = R^T (w - nu u)."""
@@ -458,7 +490,7 @@ def _solve_free(
         return z, nu
     if factor is not None and factor.valid and factor.k == len(free):
         z, nu = factor.solve()
-        if math.isfinite(nu) and math.isfinite(z.sum()):  # a sum is finite only if every entry is
+        if math.isfinite(nu) and math.isfinite(z @ z):  # finite only if every entry is; cheaper than z.sum()
             return z, nu
     return _lstsq_step(gram, h, free)
 

@@ -188,6 +188,12 @@ def test_span_rank(capsys):
     assert run(["span-rank", "--d", "5", "--sets", "CD"]) == 2
 
 
+def test_span_rank_rejects_empty_sets(capsys):
+    assert run(["span-rank", "--d", "6", "--sets", ""]) == 2
+    captured = capsys.readouterr()
+    assert "names no family" in captured.err and captured.out == ""
+
+
 def test_decompose_p2(tmp_path, capsys):
     state = write_state(tmp_path / "s.json", hull_state(9, 31))
     assert run(["decompose", "--state", state, "--mode", "p2"]) == 0

@@ -11,6 +11,8 @@ import kdclassical
 from kdclassical import dft_pair, pure_kd_set
 from kdclassical.families import all_projectors
 from kdclassical.geometry import hull_membership, hull_system, stack_real
+from kdclassical.harness import _ginibre_state, _rng, perturbation_basis
+from kdclassical import solver
 from kdclassical.solver import _DUAL_TOL, _FEAS_TOL, _FreeSetFactor, _grad_bound, _solve_free, simplex_least_squares
 
 
@@ -148,26 +150,26 @@ PROBLEMS = [(kind, seed) for kind, count in (("full_rank", 25), ("duplicated", 1
 @pytest.mark.parametrize("kind, seed", PROBLEMS)
 def test_factor_path_matches_the_factor_free_loop(kind, seed, monkeypatch):
     a, b, unique = random_problem(kind, seed)
-    calls = {"factor": 0, "rebuild": 0}
-    solve, rebuild = _FreeSetFactor.solve, _FreeSetFactor.rebuild
+    calls = {"factor": 0, "drop": 0}
+    solve, drop_blocking = _FreeSetFactor.solve, solver._drop_blocking
 
     def counting_solve(self):
         calls["factor"] += 1
         return solve(self)
 
-    def counting_rebuild(self, cols):
-        calls["rebuild"] += 1
-        return rebuild(self, cols)
+    def counting_drop_blocking(*args):
+        calls["drop"] += 1
+        return drop_blocking(*args)
 
     monkeypatch.setattr(_FreeSetFactor, "solve", counting_solve)
-    monkeypatch.setattr(_FreeSetFactor, "rebuild", counting_rebuild)
+    monkeypatch.setattr(solver, "_drop_blocking", counting_drop_blocking)
     x = simplex_least_squares(a.T @ a, a.T @ b)
     dist = float(np.linalg.norm(a @ x - b))
     monkeypatch.undo()
     x_ref, dist_ref = reference_simplex_least_squares(a, b)
     assert calls["factor"] > 0
     if kind == "drop_heavy":
-        assert calls["rebuild"] > 0
+        assert calls["drop"] > 0
     assert abs(dist - dist_ref) <= 1e-12 * max(1.0, dist_ref)
     if unique:
         assert np.abs(x - x_ref).max() <= 1e-9
@@ -275,3 +277,105 @@ def test_import_leaves_scipy_out():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def downdate_errors(factor, gram, h):
+    """Largest deviations of the factor from R G_F R^T = I, u = R 1, w = R h_F and its running sums, and above R's diagonal."""
+    k, free = factor.k, factor.free
+    r, u, w = factor.r[:k, :k], factor.u[:k], factor.w[:k]
+    return (np.abs(r @ gram[np.ix_(free, free)] @ r.T - np.eye(k)).max(), np.abs(u - r.sum(axis=1)).max(),
+            np.abs(w - r @ h[free]).max(), abs(factor.uu - u @ u), abs(factor.uw - u @ w),
+            np.abs(np.triu(factor.r[:k], 1)).max())
+
+
+@pytest.mark.parametrize("positions", [[0], [5], [11], [11, 4], [3, 3], [0, 0, 0]], ids=str)
+def test_downdate_after_drops_is_the_factor_of_the_smaller_free_set(positions):
+    # First, middle and last position of twelve, and repeated drops; each
+    # leaves R lower triangular with zeros past its own k, as append expects.
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((40, 20))
+    gram, h = a.T @ a / 40, a.T @ rng.standard_normal(40) / 40
+    factor = _FreeSetFactor(gram, h)
+    order = rng.permutation(20)[:12].tolist()
+    for j in order:
+        factor.append(j)
+    for i in positions:
+        factor.drop(i)
+        del order[i]
+    assert factor.valid and factor.free.tolist() == order
+    assert max(downdate_errors(factor, gram, h)) <= 1e-12
+    factor.append(int(np.setdiff1d(np.arange(20), order)[0]))  # a later append builds on the downdated rows
+    assert max(downdate_errors(factor, gram, h)) <= 1e-12
+
+
+def seeded_states(kind, n):
+    """The seed-12721 states of the benchmark's ginibre-d6, perturb-d6 and certify-d9 workloads, with their dimension."""
+    if kind == "ginibre-d6":
+        return 6, [_ginibre_state(_rng(12721, i), 6) for i in range(n)]
+    d = 6 if kind == "perturb-d6" else 9
+    config = kdclassical.SampleConfig(d=d, seed=12721, n_samples=n, mode="perturb")
+    basis = perturbation_basis(None, dft_pair(d))
+    return d, [kdclassical.sample_kd_boundary(config, basis, index=i) for i in range(n)]
+
+
+def entering_paths(monkeypatch, gram, h):
+    """x and each row's entering columns, from single solves of each row and from one stacked solve of all rows, and the number of downdates."""
+    paths, drops = {}, []
+    append, stack_append, drop = _FreeSetFactor.append, solver._FreeSetStack.append, _FreeSetFactor.drop
+
+    def single(self, j):
+        paths.setdefault(("single", id(self)), []).append(int(j))
+        return append(self, j)
+
+    def stacked(self, j):
+        for row, col in zip(self.ids.tolist(), j.tolist()):
+            paths.setdefault(("stacked", row), []).append(col)
+        return stack_append(self, j)
+
+    monkeypatch.setattr(_FreeSetFactor, "append", single)
+    monkeypatch.setattr(solver._FreeSetStack, "append", stacked)
+    monkeypatch.setattr(_FreeSetFactor, "drop", lambda self, i: drops.append(i) or drop(self, i))
+    x_single, singles = [], []
+    for row in h:
+        paths.clear()
+        x_single.append(simplex_least_squares(gram, row))
+        singles.append(next(iter(paths.values())))
+    paths.clear()
+    x_stacked = simplex_least_squares(gram, h)
+    monkeypatch.undo()
+    return np.array(x_single), singles, x_stacked, [paths[("stacked", row)] for row in range(len(h))], len(drops)
+
+
+@pytest.mark.parametrize("kind", ["ginibre-d6", "perturb-d6", "certify-d9"])
+def test_solver_path_does_not_depend_on_the_last_bit_of_the_gram(kind, monkeypatch):
+    # |V^H V|^2 and Re^2 + Im^2 of the overlaps differ by a few ulps; the
+    # families' symmetry makes reduced costs tie, and a tie broken by
+    # roundoff would send the two solves down different paths to different
+    # minimizers (the distance is unique, x is not).
+    d, states = seeded_states(kind, 200 if kind == "certify-d9" else 250)
+    system = hull_system(pure_kd_set(dft_pair(d)))
+    overlaps = system.states.conj().T @ system.states
+    other = overlaps.real**2 + overlaps.imag**2
+    assert 0 < np.abs(other - system.gram).max() <= 1e-15
+    h = system.expectations(np.array(states))
+    x, singles, x_stacked, stacked, drops = entering_paths(monkeypatch, system.gram, h)
+    assert drops > 0  # the downdate is on these paths
+    x_other, singles_other, x_stacked_other, stacked_other, _ = entering_paths(monkeypatch, other, h)
+    assert singles == singles_other and stacked == stacked_other == singles
+    assert np.abs(x - x_other).max() <= 1e-15 and np.array_equal(x, x_stacked)
+    assert np.array_equal(x_other, x_stacked_other)
+
+
+def test_blocking_ratio_ties_all_leave():
+    # Free set [1, 3, 2] in entry order; the line step's ratios for columns 1
+    # and 3 are 1/2 and 1/(2 + 4e-14), a tie within the band. Both leave,
+    # though column 1 would be left at about 4e-15 by the step; alone, on
+    # {1, 2}, the next step would be positive and keep it.
+    gram, h = np.eye(4), np.array([0.0, 0.5, 0.5, 0.0])
+    factor = _FreeSetFactor(gram, h)
+    for j in (1, 3, 2):
+        factor.append(j)
+    x = np.array([0.0, 0.2, 0.6, 0.2])
+    z = np.array([-0.2, -0.2 * (1 + 4e-14), 1.4 + 0.8e-14])
+    step, _ = solver._drop_blocking(gram, h, x, factor, z, 0.0)
+    assert factor.free.tolist() == [2] and x[1] == x[3] == 0.0 and step.tolist() == [1.0]

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from kdclassical import (
+    NotHermitian,
     SampleConfig,
     SolverDidNotConverge,
     dft_pair,
     geometry,
     hull_membership,
+    kd_table,
     probe_conjecture,
     pure_kd_set,
     sample_kd_boundary,
@@ -25,7 +27,7 @@ from kdclassical import (
 )
 from kdclassical.families import all_projectors
 from kdclassical.geometry import hull_system, weyl_coefficients
-from kdclassical.harness import _ginibre_state, _rng, perturbation_basis, stack_height
+from kdclassical.harness import _ginibre_state, _ginibre_states, _rng, perturbation_basis, setup_bytes, stack_height
 from kdclassical.solver import _MIN_STACK, simplex_least_squares
 
 
@@ -252,3 +254,34 @@ def test_h_is_one_right_hand_side_or_a_stack_of_them(shape):
 
 def test_stack_heights_from_the_byte_budget():
     assert [stack_height(d) for d in (6, 9, 12, 30)] == [52, 41, 6, 1]
+    for families in (0, -1):  # no projectors: no budget to divide
+        with pytest.raises(ValueError, match="at least one family"):
+            stack_height(6, families)
+        with pytest.raises(ValueError, match="at least one family"):
+            setup_bytes(6, "span-rank", families)
+
+
+@pytest.mark.parametrize("d", [2, 6, 9, 12, 30])
+def test_a_stack_of_states_gets_each_table_it_gets_alone(d):
+    pair = dft_pair(d)
+    states = _ginibre_states([_rng(12721, i) for i in range(5)], d)
+    tables = kd_table(states, pair)
+    assert len(tables) == len(states)
+    for rho, table in zip(states, tables):
+        alone = kd_table(rho, pair)
+        assert np.array_equal(table.values, alone.values) and table.source_trace == alone.source_trace
+        assert table.dim == d and not table.values.flags.writeable
+    with pytest.raises(NotHermitian):  # one bad state fails the whole stack, as it fails alone
+        kd_table(np.concatenate([states, 1j * states[:1]]), pair)
+
+
+@pytest.mark.parametrize("d", [1, 6, 12])
+def test_ginibre_draws_in_a_stack_are_the_single_draws(d):
+    # The seeded draw of each index, g g^H / tr with g = N + iN' from its own
+    # generator, as the benchmark re-derives it.
+    stack = _ginibre_states([_rng(12721, i) for i in range(8)], d)
+    for i, rho in enumerate(stack):
+        rng = _rng(12721, i)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        assert np.array_equal(rho, (g @ g.conj().T) / (g @ g.conj().T).trace().real)
+        assert np.array_equal(rho, _ginibre_state(_rng(12721, i), d))
