@@ -37,6 +37,7 @@ from .geometry import hull_membership, hull_system, stack_real
 # kd_real_basis and kd_real_condition are not called here, but benchmarks/tracing.py wraps them under this module.
 from .kdreal import CONDITION_TOL, kd_real_basis, kd_real_condition, kd_real_dimension, kd_real_parts_condition, traceless_kd_real_block  # noqa: F401
 from .linalg import Tolerances, matrix_to_json
+from .solver import stack_buffer_bytes
 
 MODES = ("hull", "perturb", "ginibre")
 
@@ -218,15 +219,16 @@ def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndar
 # checks the Weyl step of a whole stack at once and, when enough states
 # are left undecided, runs one active-set loop for them all, each
 # iteration costing a fixed number of numpy calls whatever the stack's
-# height. The stack's factor buffers, n x (n + 2) floats per state, are
-# held to this many bytes: 52 states at d = 6 (n = 24), 6 at d = 12, and
-# from n = 128 on one, a stack of one like any single query (d = 30 has
-# n = 240): there a solve takes about 140 steps on products that are no
-# longer small, and the per-call cost that a stack shares is a small part
-# of it. A stack that leaves the solver too few undecided states for its
-# stacked loop (every stack from d = 12 on) solves them one by one and
-# shares only the input checks, h, the Weyl step and the residual.
-STACK_BYTES = 256 * 1024
+# height. The stack's factor buffers at full width, n x (n + 2) floats per
+# state, are held to this many bytes: 157 states at d = 6 (n = 24), 125 at
+# d = 9, 18 at d = 12, 14 at d = 16, and from n = 221 on one, a stack of
+# one like any single query (d = 30 has n = 240): there a solve takes
+# about 140 steps on products that are no longer small, and the per-call
+# cost that a stack shares is a small part of it. The buffers start narrow
+# and widen with the widest free set. A stack that leaves the solver too few
+# undecided states for its stacked loop solves them one by one and shares
+# only the input checks, h, the Weyl step and the residual.
+STACK_BYTES = 768 * 1024
 
 
 def stack_height(d: int, families: int | None = None) -> int:
@@ -260,7 +262,8 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
     - overlaps: the n x n complex V^dag V its Gram is computed from;
     - gram: n x n reals;
     - stack: the solver's factor buffers for one stack of
-      :func:`stack_height` states, n x (n + 2) reals each;
+      :func:`stack_height` states at full width, n x (n + 2) reals each,
+      and the narrower copy they last grew from;
     - projectors: n d^2 complex, built as dense matrices;
     - directions: the 2d^2 x m traceless block, m being the real-table
       dimension, the SVD's left factor of the same shape, and the
@@ -289,7 +292,7 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
         "states": n * d * 16 + d * d * 8,
         "overlaps": n * n * 16,
         "gram": n * n * 8,
-        "stack": stack_height(d, families) * n * (n + 2) * 8,
+        "stack": stack_buffer_bytes(stack_height(d, families), n),
         "projectors": n * d * d * 16,
         "directions": 2 * d * d * (3 * m - 1) * 8,
         "copies": 8 * n * d * 16,

@@ -50,9 +50,15 @@ undecided they share one active-set loop, each iteration making one
 stacked KKT step, gradient, entering choice and append, so numpy's
 per-call cost is paid once per iteration instead of once per row; fewer
 rows run the single loop one by one. A stacked row keeps its factor in the
-buffer layout above and downdates its own on a drop, and every product is
-made per row, or per run of rows with free sets of one size, so a row
-rounds exactly as it does alone and gets the same x, path and verdict.
+buffer layout above, in buffers that start :data:`_STACK_WIDTH` wide and
+double, at most to n, with the widest free set. The rows that drop in an
+iteration drop together: one line step for all, then one downdate of the
+last zeroed position of every row at a time, each row's chain gathered into
+one block (an invalid factor is rebuilt alone), and one re-solve. The
+arithmetic is elementwise, or a cumulative sum along a row's own chain,
+and every product is made per row, or per run of rows with free sets of
+one size, so a row rounds exactly as it does alone and gets the same x,
+path and verdict.
 The failure convention of every hull query: a row that does not converge
 is NaN in a stack, without touching the others (a None verdict from
 :func:`~kdclassical.geometry.hull_membership`), and a 1-D h raises
@@ -88,6 +94,19 @@ _TIE_BAND = 1e-12
 # on Ginibre states at d = 12, whose rows drop three columns each); below
 # this many undecided rows a stack runs the single loop row by row.
 _MIN_STACK = 8
+# A stack's [u, w, R] buffers start this many rows wide and double, at most
+# to n, when its widest free set fills them: free sets stay at 15 of 24
+# columns at d = 6 and reach 40 of 72 at d = 12.
+_STACK_WIDTH = 16
+
+
+def stack_buffer_bytes(m: int, n: int) -> int:
+    """The most bytes the buffers of a stack of m rows over n columns hold at once: full width, and the copy it last grew from."""
+    width = min(_STACK_WIDTH, n)
+    while 2 * width < n:
+        width *= 2
+    last = width if width < n else 0
+    return 8 * m * (n * (n + 2) + last * (last + 2))
 
 
 def simplex_least_squares(
@@ -213,9 +232,9 @@ def _active_set_stack(gram: np.ndarray, h: np.ndarray, todo: np.ndarray, max_ite
     Each iteration makes one stacked KKT step, gradient, entering choice and
     append, the step and the append with one product per run of rows that
     share a free-set size (:class:`_FreeSetStack`), so that every row rounds
-    exactly as the single loop would round it. A row whose step has a
-    negative entry drops its blocking columns alone, downdating its own
-    factor (:func:`_drop_blocking`), and a row leaves the stack when it
+    exactly as the single loop would round it. The rows whose step has a
+    negative entry drop their blocking columns together
+    (:meth:`_FreeSetStack.drop_blocking`), and a row leaves the stack when it
     passes the KKT test. A row fails, and is NaN in ``out``, when its
     drops exceed their cap or it is still in the stack after ``max_iter``
     iterations.
@@ -232,13 +251,8 @@ def _active_set_stack(gram: np.ndarray, h: np.ndarray, todo: np.ndarray, max_ite
 
     for _ in range(max_iter):
         z, nu = _solve_free(gram, stack.h, stack.free, stack)
-        failed = []
         dropping = np.flatnonzero(z.min(axis=1) < -_FEAS_TOL)
-        for r in dropping:
-            try:
-                z[r], nu[r] = stack.drop_blocking(r, z[r], nu[r])
-            except SolverDidNotConverge:
-                failed.append(r)
+        failed = stack.drop_blocking(dropping, z, nu) if dropping.size else []
         rows, free = np.arange(len(nu)), stack.cols[:, : z.shape[1]]
         stack.x[rows[:, None], free] = np.maximum(z, 0.0)
 
@@ -278,11 +292,12 @@ def _feasible_and_stationary_rows(gram: np.ndarray, h: np.ndarray, z: np.ndarray
     A NaN or infinite entry fails the sign or the sum test, and with nu = 0
     max |grad + nu| <= _DUAL_TOL max(1, max |grad|) reads max |grad| <= _DUAL_TOL.
     """
-    feasible = (z.min(axis=1) >= -_FEAS_TOL) & (np.abs(z.sum(axis=1) - 1.0) <= _FEAS_TOL * z.shape[1])
-    if not feasible.any():
-        return feasible
-    grad = np.matmul(gram, z[:, :, None])[:, :, 0] - h  # per row, as alone
-    return feasible & (np.abs(grad).max(axis=1) <= _DUAL_TOL)
+    ok = (np.minimum.reduce(z, axis=1) >= -_FEAS_TOL) & (np.abs(np.add.reduce(z, axis=1) - 1.0) <= _FEAS_TOL * z.shape[1])
+    if np.count_nonzero(ok):  # ufuncs and C calls, not the ndarray methods' Python wrappers
+        grad = np.matmul(gram, z[:, :, None])[:, :, 0]  # per row, as alone
+        grad -= h
+        ok &= np.maximum.reduce(np.abs(grad, out=grad), axis=1) <= _DUAL_TOL
+    return ok
 
 
 class _FreeSetFactor:
@@ -389,7 +404,7 @@ class _FreeSetStack:
         m, n = h.shape
         self.gram, self.h, self.ids = gram, h, ids
         self.x = np.zeros((m, n + 1))
-        self.b = np.zeros((m, n, n + 2))
+        self.b = np.zeros((m, min(_STACK_WIDTH, n), min(_STACK_WIDTH, n) + 2))
         self.cols = np.full((m, n), n, dtype=np.intp)
         self.k = np.zeros(m, dtype=np.intp)
         self.uu, self.uw = np.zeros(m), np.zeros(m)
@@ -405,24 +420,42 @@ class _FreeSetStack:
         """Keep the given rows, in the given order, which must be sorted by k, largest first."""
         for name in self._ROWS:
             setattr(self, name, getattr(self, name)[rows])
-        stops = [*(np.flatnonzero(np.diff(self.k)) + 1).tolist(), len(rows)]
-        self.runs = [(start, stop, int(self.k[start])) for start, stop in zip([0, *stops], stops)]
+        self.runs = _runs(self.k)
 
-    def solve(self) -> tuple[np.ndarray, np.ndarray]:
-        """The KKT steps (z, nu) of every row, z (m, K) zero past k[r]; nu is NaN where the factor is invalid."""
-        nu = np.divide(self.uw - 1.0, self.uu, out=np.full(len(self.uu), np.nan), where=self.valid)
-        width = self.runs[0][2]
-        v = self.b[:, :width, 1] - nu[:, None] * self.b[:, :width, 0]
-        if len(self.runs) == 1:
-            return np.matmul(v[:, None, :], self.b[:, :width, 2 : width + 2])[:, 0], nu
-        z = np.zeros((len(nu), width))
-        for start, stop, k in self.runs:
-            z[start:stop, :k] = np.matmul(v[start:stop, None, :k], self.b[start:stop, :k, 2 : k + 2])[:, 0]
+    def solve(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The KKT steps (z, nu) of every row, or of ``rows`` sorted by k, largest first; z (m, K) zero past k[r].
+
+        A row whose factor is invalid or gives a non-finite step falls back on
+        its own to :func:`_lstsq_step`.
+        """
+        sel = slice(None) if rows is None else rows
+        b, k, valid = self.b[sel], self.k[sel], self.valid[sel]
+        runs = self.runs if rows is None else _runs(k)
+        nu = np.divide(self.uw[sel] - 1.0, self.uu[sel], out=np.full(len(k), np.nan), where=valid)
+        width = runs[0][2]
+        v = b[:, :width, 1] - nu[:, None] * b[:, :width, 0]
+        if len(runs) == 1:
+            z = np.matmul(v[:, None, :], b[:, :width, 2 : width + 2])[:, 0]
+        else:
+            z = np.zeros((len(nu), width))
+            for start, stop, run_k in runs:
+                z[start:stop, :run_k] = np.matmul(v[start:stop, None, :run_k], b[start:stop, :run_k, 2 : run_k + 2])[:, 0]
+        if not math.isfinite(nu.sum() + z.sum()):
+            h, cols = self.h[sel], self.cols[sel]
+            for r in np.flatnonzero(~np.isfinite(nu + z.sum(axis=1))):
+                z[r, : k[r]], nu[r] = _lstsq_step(self.gram, h[r], cols[r, : k[r]])
         return z, nu
 
     def append(self, j: np.ndarray) -> None:
-        """Add column j[r] to row r, for every row: :meth:`_FreeSetFactor.append`, its products run by run."""
+        """Add column j[r] to row r, for every row: :meth:`_FreeSetFactor.append`, its products run by run.
+
+        When the widest row fills the buffers, they first double in width, at most to n.
+        """
         everyone, k, width = np.arange(len(j)), self.k, self.runs[0][2]
+        if width == self.b.shape[1]:
+            grown, old = min(2 * width, len(self.gram)), self.b
+            self.b = np.zeros((len(j), grown, grown + 2))
+            self.b[:, :width, : width + 2] = old
         ll, row = np.empty(len(j)), np.zeros((len(j), width + 2))
         for start, stop, run_k in self.runs:
             b = self.b[start:stop, :run_k, : run_k + 2]
@@ -444,18 +477,78 @@ class _FreeSetStack:
         self.k = k + 1
         self.runs = [(start, stop, run_k + 1) for start, stop, run_k in self.runs]
 
-    def drop_blocking(self, r: int, z: np.ndarray, nu: float) -> tuple[np.ndarray, float]:
-        """:func:`_drop_blocking` on row r alone, through a :class:`_FreeSetFactor` over views of its buffers; z comes back padded."""
+    def drop_blocking(self, rows: np.ndarray, z: np.ndarray, nu: np.ndarray) -> list[int]:
+        """:func:`_drop_blocking` for the given rows together, writing their new steps into z and nu; returns the rows that fail.
+
+        A round steps every row still dropping, :meth:`_downdate` removes the
+        last zeroed position of every valid factor until none is left, an
+        invalid factor is rebuilt alone, and :meth:`solve` re-solves the rows.
+        """
         n = len(self.gram)
-        factor = _FreeSetFactor(self.gram, self.h[r], b=self.b[r], cols=self.cols[r])
-        factor.k, factor.uu, factor.uw, factor.valid = int(self.k[r]), float(self.uu[r]), float(self.uw[r]), bool(self.valid[r])
-        step, nu = _drop_blocking(self.gram, self.h[r], self.x[r, :n], factor, z[: factor.k], nu)
-        k = self.k[r] = factor.k
-        self.uu[r], self.uw[r], self.valid[r] = factor.uu, factor.uw, factor.valid
-        self.cols[r, k:] = n
-        z = np.zeros_like(z)
-        z[:k] = step
-        return z, nu
+        for _ in range(n + 10):  # the cap of _drop_blocking: a row still dropping after it fails
+            k = self.k[rows]
+            width = int(k.max())
+            live, valid = np.arange(width) < k[:, None], self.valid[rows]
+            free, zr = self.cols[rows, :width], z[rows, :width]
+            xf = self.x[rows[:, None], free]
+            ratios = np.divide(xf, xf - zr, out=np.full(xf.shape, np.inf), where=zr < -_FEAS_TOL)
+            alpha = ratios.min(axis=1)[:, None]
+            xf = xf + alpha * (zr - xf)
+            xf[ratios <= alpha * (1.0 + _TIE_BAND)] = 0.0
+            self.x[rows[:, None], free] = np.maximum(xf, 0.0)
+            zeroed = (xf <= 0.0) & live & valid[:, None]
+            while zeroed.any():
+                at = np.flatnonzero(zeroed.any(axis=1))
+                i = width - 1 - zeroed[at, ::-1].argmax(axis=1)
+                self._downdate(rows[at], i)
+                zeroed[at, i] = False
+            for j, r in zip(np.flatnonzero(~valid).tolist(), rows[~valid].tolist()):
+                factor = _FreeSetFactor(self.gram, self.h[r], b=self.b[r], cols=self.cols[r])
+                factor.rebuild(free[j, (xf[j] > 0.0) & live[j]])
+                self.k[r], self.uu[r], self.uw[r], self.valid[r] = factor.k, factor.uu, factor.uw, factor.valid
+                self.cols[r, factor.k :] = n
+            rows = rows[np.argsort(-self.k[rows], kind="stable")]
+            step, nu[rows] = self.solve(rows)
+            z[rows] = 0.0
+            z[rows, : step.shape[1]] = step
+            rows = rows[step.min(axis=1) < -_FEAS_TOL]
+            if not rows.size:
+                return []
+        return rows.tolist()
+
+    def _downdate(self, rows: np.ndarray, i: np.ndarray) -> None:
+        """:meth:`_FreeSetFactor.drop` of free position i[j] from row rows[j], for all at once.
+
+        Each row's buffer rows i..k-1 form one block, a shorter chain padded
+        with copies of its last row, which no written row sums. u.u and u.w
+        are summed per row, on the strided views :meth:`_FreeSetFactor.drop` sums.
+        """
+        n, k = len(self.gram), self.k[rows]
+        span, width = k - i, int(k.max()) + 2
+        t = np.arange(span.max())
+        at = np.minimum(i[:, None] + t, k[:, None] - 1)
+        g = self.b[rows[:, None], at, :width]
+        s = g[np.arange(len(rows)), :, i + 2]
+        rho = np.sqrt(np.cumsum(s * s, axis=1))
+        a = np.cumsum(s[:, :, None] * g, axis=1) / rho[:, :, None]
+        new = (rho[:, :-1, None] * g[:, 1:] - s[:, 1:, None] * a[:, :-1]) / rho[:, 1:, None]
+        before = np.arange(width - 1) < (i + 2)[:, None]  # column i deleted
+        new = np.where(before[:, None, :], new[:, :, :-1], new[:, :, 1:])
+        written = t[1:] < span[:, None]
+        self.b[np.broadcast_to(rows[:, None], written.shape)[written], at[:, :-1][written], : width - 1] = new[written]
+        cols = self.cols[rows]
+        self.cols[rows, :-1] = np.where(np.arange(n - 1) < i[:, None], cols[:, :-1], cols[:, 1:])
+        self.cols[rows, k - 1] = n
+        self.k[rows] = k - 1
+        for r, kr in zip(rows.tolist(), (k - 1).tolist()):
+            u, w = self.b[r, :kr, 0], self.b[r, :kr, 1]
+            self.uu[r], self.uw[r] = u @ u, u @ w
+
+
+def _runs(k: np.ndarray) -> list[tuple[int, int, int]]:
+    """The (start, stop, k) of each run of equal k in k, which is sorted, largest first."""
+    stops = [*(np.flatnonzero(np.diff(k)) + 1).tolist(), len(k)]
+    return [(start, stop, int(k[start])) for start, stop in zip([0, *stops], stops)]
 
 
 def _solve_free(
@@ -482,12 +575,7 @@ def _solve_free(
     if candidate is not None:
         return np.asarray(candidate, dtype=float), 0.0
     if isinstance(factor, _FreeSetStack):
-        z, nu = factor.solve()
-        if not math.isfinite(nu.sum() + z.sum()):
-            for r in np.flatnonzero(~np.isfinite(nu + z.sum(axis=1))):
-                k = factor.k[r]
-                z[r, :k], nu[r] = _lstsq_step(gram, h[r], free[:k, r])
-        return z, nu
+        return factor.solve()
     if factor is not None and factor.valid and factor.k == len(free):
         z, nu = factor.solve()
         if math.isfinite(nu) and math.isfinite(z @ z):  # finite only if every entry is; cheaper than z.sum()

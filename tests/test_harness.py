@@ -328,11 +328,19 @@ def test_setup_estimate_covers_the_built_arrays(d):
     # The traceless block and the SVD's left factor, both 2d^2 x m, are alive when the directions are copied out.
     block_bytes = 2 * d * d * m * 8
     # The Gram counts three times: it is computed from the complex overlaps V^dag V, n x n as well.
-    # One stack's factor buffers, as the solver's stacked loop builds them (the single loop builds one state's).
+    # One stack's factor buffers, as the solver's stacked loop builds them (the single loop builds one state's),
+    # grown until every row's free set holds all n columns: at full width, beside the copy they last grew from.
     height, n = stack_height(d), len(system.gram)
-    stack = _FreeSetStack(system.gram, np.zeros((height, n)), np.arange(height)).b.nbytes
-    assert stack <= STACK_BYTES or height == 1
-    built = system.states.nbytes + system.weights.nbytes + 3 * system.gram.nbytes + stack
+    stack = _FreeSetStack(np.eye(n), np.zeros((height, n)), np.arange(height))
+    sizes = [stack.b.nbytes]
+    for j in range(n):
+        stack.append(np.full(height, j))
+        if stack.b.nbytes != sizes[-1]:
+            sizes.append(stack.b.nbytes)
+    assert stack.k.tolist() == [n] * height and stack.b.shape == (height, n, n + 2)
+    assert sizes[-1] <= STACK_BYTES or height == 1
+    full_and_copy = sum(sizes[-2:])
+    built = system.states.nbytes + system.weights.nbytes + 3 * system.gram.nbytes + full_and_copy
     assert setup_bytes(d, "ginibre") == built
     assert setup_bytes(d, "perturb") == built + 2 * block_bytes + directions.nbytes
     assert setup_bytes(d, "hull") == built + sum(p.nbytes for p in projectors)

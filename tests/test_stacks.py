@@ -8,6 +8,9 @@ alone.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +31,8 @@ from kdclassical import (
 from kdclassical.families import all_projectors
 from kdclassical.geometry import hull_system, weyl_coefficients
 from kdclassical.harness import _ginibre_state, _ginibre_states, _rng, perturbation_basis, setup_bytes, stack_height
-from kdclassical.solver import _MIN_STACK, simplex_least_squares
+from kdclassical.linalg import matrix_to_json
+from kdclassical.solver import _FEAS_TOL, _MIN_STACK, _FreeSetFactor, _FreeSetStack, _solve_free, simplex_least_squares
 
 
 def family_system(d):
@@ -253,7 +257,7 @@ def test_h_is_one_right_hand_side_or_a_stack_of_them(shape):
 
 
 def test_stack_heights_from_the_byte_budget():
-    assert [stack_height(d) for d in (6, 9, 12, 30)] == [52, 41, 6, 1]
+    assert [stack_height(d) for d in (6, 9, 12, 16, 30)] == [157, 125, 18, 14, 1]
     for families in (0, -1):  # no projectors: no budget to divide
         with pytest.raises(ValueError, match="at least one family"):
             stack_height(6, families)
@@ -285,3 +289,86 @@ def test_ginibre_draws_in_a_stack_are_the_single_draws(d):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         assert np.array_equal(rho, (g @ g.conj().T) / (g @ g.conj().T).trace().real)
         assert np.array_equal(rho, _ginibre_state(_rng(12721, i), d))
+
+
+def test_rows_drop_together_as_each_drops_alone(monkeypatch):
+    # Eight rows of five free columns over one Gram whose column 12 nearly
+    # repeats column 0, each with a point x on its free set, and the step z
+    # of that set: every row's step has a negative entry, so all eight drop
+    # in one iteration. Row 2's point puts two of its three blocking
+    # variables at one ratio, 1/2, and row 7 holds columns 0 and 12, so its
+    # factor is invalid and is rebuilt.
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((10, 12))
+    a = np.hstack([a, a[:, :1] + 1e-9 * rng.standard_normal((10, 1))])
+    gram, h, n = a.T @ a, rng.standard_normal((8, 10)) @ a, 13
+    free = np.array([rng.choice(12, size=5, replace=False) for _ in range(8)])
+    free[7, :2] = [0, 12]
+    x = np.zeros((8, n + 1))
+    for r in range(8):
+        x[r, free[r]] = rng.dirichlet(np.ones(5))
+    stack = _FreeSetStack(gram, h, np.arange(8))
+    for j in free.T:
+        stack.append(j)
+    z, nu = stack.solve()
+    x[2, free[2, 2:4]] = -z[2, 2:4]
+    stack.x = x.copy()
+    assert stack.valid.tolist() == [True] * 7 + [False] and (z[2] < 0).sum() == 3
+
+    calls = []
+    downdate, rebuild = _FreeSetStack._downdate, _FreeSetFactor.rebuild
+    monkeypatch.setattr(_FreeSetStack, "_downdate", lambda self, rows, i: calls.append(rows.tolist()) or downdate(self, rows, i))
+    monkeypatch.setattr(_FreeSetFactor, "rebuild", lambda self, cols: calls.append("rebuild") or rebuild(self, cols))
+    dropping = np.flatnonzero(z.min(axis=1) < -_FEAS_TOL)
+    assert dropping.tolist() == list(range(8))
+    assert stack.drop_blocking(dropping, z, nu) == []
+    monkeypatch.undo()
+    assert len(calls[0]) == 7 and 2 in calls[1] and "rebuild" in calls  # seven downdate at once; row 2 twice
+
+    for r in range(8):
+        factor = _FreeSetFactor(gram, h[r])
+        for j in free[r]:
+            factor.append(j)
+        step, nu_r = _solve_free(gram, h[r], factor.free, factor)
+        x_r = x[r, :n].copy()
+        step, nu_r = solver._drop_blocking(gram, h[r], x_r, factor, step, nu_r)
+        k = factor.k
+        assert stack.k[r] == k and np.array_equal(stack.cols[r], np.r_[factor.free, [n] * (n - k)])
+        assert np.array_equal(z[r], np.r_[step, np.zeros(5 - k)]) and nu[r] == nu_r
+        assert np.array_equal(stack.x[r], np.r_[x_r, 0.0]) and stack.valid[r] == factor.valid
+        if factor.valid:
+            assert np.array_equal(stack.b[r, :k, : k + 2], factor.b[:k, : k + 2])
+            assert stack.uu[r] == factor.uu and stack.uw[r] == factor.uw
+    assert stack.k[2] <= 3  # both tied variables left
+
+
+def test_free_sets_that_outgrow_two_doublings_get_their_single_solves(monkeypatch):
+    # Ginibre states at d = 12 (n = 72) reach free sets of 40 columns, so the
+    # stack's buffers double from 16 to 32 and to 64 wide.
+    system = family_system(12)
+    h = system.expectations(np.array(ginibre(12, 16)))
+    widths = set()
+    append = _FreeSetStack.append
+    monkeypatch.setattr(_FreeSetStack, "append", lambda self, j: append(self, j) or widths.add(self.b.shape[1]))
+    x = simplex_least_squares(system.gram, h)
+    monkeypatch.undo()
+    assert sorted(widths) == [16, 32, 64]
+    for row, x_row in zip(h, x):
+        assert np.array_equal(x_row, simplex_least_squares(system.gram, row))
+
+
+def test_probes_and_member_leave_numpy_ma_out(tmp_path):
+    # np.unique imports numpy.ma, about 0.8 MB of resident memory on the first probe call.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(matrix_to_json(ginibre(6, 1)[0])), encoding="utf-8")
+    code = (
+        "import sys, kdclassical\n"
+        "from kdclassical.cli import run\n"
+        "for mode in ('ginibre', 'perturb'):\n"
+        "    kdclassical.probe_conjecture(kdclassical.SampleConfig(d=6, seed=12721, n_samples=40, mode=mode))\n"
+        f"run(['member', '--state', {str(path)!r}])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert out.stdout.splitlines()[-1] == "False"
