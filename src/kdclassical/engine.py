@@ -73,14 +73,14 @@ def classicality(table: KDTable, tol: Tolerances = DEFAULT_TOL) -> ClassicalityV
     smallest cell attaining the worst violation.
     """
     re = table.values.real
-    im = table.values.imag
+    im_abs = np.abs(table.values.imag)
     min_real = float(re.min())
-    max_imag_abs = float(np.abs(im).max())
+    max_imag_abs = float(im_abs.max())
     classical = min_real >= -tol.classicality and max_imag_abs <= tol.classicality
     witness: tuple[int, int] | None = None
     if not classical:
-        violation = np.maximum(-re, np.abs(im))
-        flat = int(np.argmax(violation))  # first occurrence = lexicographically smallest
+        violation = np.maximum(-re, im_abs)
+        flat = int(violation.argmax())  # first occurrence = lexicographically smallest
         witness = (flat // table.dim, flat % table.dim)
     return ClassicalityVerdict(
         classical=classical, min_real=min_real, max_imag_abs=max_imag_abs, witness=witness

@@ -421,7 +421,8 @@ def hull_membership(
     # A single state's h goes in 1-D, so that a solve that does not converge raises.
     coeffs = simplex_least_squares(system.gram, h.reshape(*a.shape[:-2], -1), candidate=candidate).reshape(h.shape)
     distance = system.residual(coeffs, stack)
-    verdicts = [None if np.isnan(c).any() else _verdict(c, dist, tol, labels) for c, dist in zip(coeffs, distance)]
+    failed = np.isnan(coeffs).any(axis=1).tolist()
+    verdicts = [None if bad else _verdict(c, dist, tol, labels) for c, dist, bad in zip(coeffs, distance.tolist(), failed)]
     return verdicts if a.ndim == 3 else verdicts[0]
 
 

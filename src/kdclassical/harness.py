@@ -318,8 +318,9 @@ def _physical_memory() -> int | None:
 
 
 def _ginibre_states(rngs, d: int) -> np.ndarray:
-    """The (m, d, d) stack of g g^H / tr(g g^H), one complex Ginibre draw g per generator."""
-    g = np.array([rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for rng in rngs])
+    """The (m, d, d) stack of g g^H / tr(g g^H), one complex Ginibre draw g per generator, its real part drawn first."""
+    draws = np.array([rng.standard_normal((2, d, d)) for rng in rngs])
+    g = draws[:, 0] + 1j * draws[:, 1]
     rho = g @ g.conj().swapaxes(-1, -2)
     return rho / rho.trace(axis1=-2, axis2=-1).real[:, None, None]
 

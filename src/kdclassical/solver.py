@@ -52,10 +52,10 @@ per-call cost is paid once per iteration instead of once per row; fewer
 rows run the single loop one by one. A stacked row keeps its factor in the
 buffer layout above, in buffers that start :data:`_STACK_WIDTH` wide and
 double, at most to n, with the widest free set. The rows that drop in an
-iteration drop together: one line step for all, then one downdate of the
-last zeroed position of every row at a time, each row's chain gathered into
-one block (an invalid factor is rebuilt alone), and one re-solve. The
-arithmetic is elementwise, or a cumulative sum along a row's own chain,
+iteration drop together, in rounds: one line step for all, one downdate of
+the last zeroed position of every row at a time, each row's chain gathered
+into one block (an invalid factor is rebuilt alone), and one re-solve, which
+sums u.u and u.w once per downdated row. The arithmetic is elementwise, or a cumulative sum along a row's own chain,
 and every product is made per row, or per run of rows with free sets of
 one size, so a row rounds exactly as it does alone and gets the same x,
 path and verdict.
@@ -87,12 +87,11 @@ _PIVOT_TOL = 1e-10
 # the few ulps of B by which the families' reduced costs tie, below _DUAL_TOL.
 _TIE_BAND = 1e-12
 # An iteration of the stacked loop costs a fixed number of numpy calls,
-# several times those of the single loop, and each row's drops still cost
-# what they cost alone. Timed on Ginibre and perturbation states at d = 6,
-# 9, 12 and 16, the stacked loop beat the single loop run row by row from
-# about 6 undecided rows at d = 6 and 9 and from 8 at d = 16 (from 12 to 16
-# on Ginibre states at d = 12, whose rows drop three columns each); below
-# this many undecided rows a stack runs the single loop row by row.
+# several times those of the single loop. Timed on Ginibre and perturbation
+# states at d = 6, 9, 12 and 16, the stacked loop beat the single loop run
+# row by row from about 6 undecided rows at d = 6 and 9 and from 8 at d = 16
+# (from 12 to 16 on Ginibre states at d = 12, whose rows drop three columns
+# each); below this many undecided rows a stack runs the single loop row by row.
 _MIN_STACK = 8
 # A stack's [u, w, R] buffers start this many rows wide and double, at most
 # to n, when its widest free set fills them: free sets stay at 15 of 24
@@ -248,21 +247,23 @@ def _active_set_stack(gram: np.ndarray, h: np.ndarray, todo: np.ndarray, max_ite
     # Per row, as in the single loop: below the cutoff the test fails.
     scale = np.maximum(1.0, _grad_bound(gram, stack.h))
     cutoff, band = -_DUAL_TOL * scale, _TIE_BAND * scale
+    buffer = np.zeros(stack.x.shape)  # the reduced costs; its sink column n stays zero
 
     for _ in range(max_iter):
         z, nu = _solve_free(gram, stack.h, stack.free, stack)
-        dropping = np.flatnonzero(z.min(axis=1) < -_FEAS_TOL)
+        dropping = (z < -_FEAS_TOL).any(axis=1).nonzero()[0]
         failed = stack.drop_blocking(dropping, z, nu) if dropping.size else []
-        rows, free = np.arange(len(nu)), stack.cols[:, : z.shape[1]]
-        stack.x[rows[:, None], free] = np.maximum(z, 0.0)
+        m, offsets = len(nu), stack.offsets[: len(nu)]
+        free = stack.cols[:, : z.shape[1]] + offsets  # flat indices into x and reduced
+        stack.x.put(free, np.maximum(z, 0.0, out=z))
 
         # One matrix-vector product per row, as in the single loop.
         grad = np.matmul(gram, stack.x[:, :n, None])[:, :, 0]
         grad -= stack.h
-        reduced = np.zeros(stack.x.shape)
+        reduced = buffer[:m]
         np.add(grad, nu[:, None], out=reduced[:, :n])
-        reduced[rows[:, None], free] = 0.0
-        cost = reduced.min(axis=1)
+        reduced.put(free, 0.0)
+        cost = reduced.take(reduced.argmin(axis=1) + offsets[:, 0])  # reduced.min(axis=1), faster on short rows
         entering = (reduced <= np.minimum(cost + band, 0.5 * cost)[:, None]).argmax(axis=1)  # as in the single loop
         done = cost >= cutoff
         if done.any():
@@ -271,12 +272,9 @@ def _active_set_stack(gram: np.ndarray, h: np.ndarray, todo: np.ndarray, max_ite
             out[stack.ids[done]] = stack.x[done, :n]
         if dropping.size or done.any():
             done[failed] = True
-            rows = np.flatnonzero(~done)
-            if not rows.size:
+            if done.all():
                 return
-            if dropping.size:
-                rows = rows[np.argsort(-stack.k[rows], kind="stable")]
-            stack.keep(rows)
+            rows = stack.keep(~done)
             cutoff, band, entering = cutoff[rows], band[rows], entering[rows]
         stack.append(entering)
 
@@ -395,14 +393,14 @@ class _FreeSetStack:
     The rows are kept sorted by k, largest first, and ``runs`` lists the
     (start, stop, k) of each run of rows with equal k: the step and the
     append make their products run by run, at the run's own k. Rows leave
-    or are reordered by :meth:`keep`.
+    or are reordered by :meth:`keep`, in place.
     """
 
     _ROWS = ("h", "x", "b", "cols", "k", "uu", "uw", "valid", "ids")
 
     def __init__(self, gram: np.ndarray, h: np.ndarray, ids: np.ndarray):
         m, n = h.shape
-        self.gram, self.h, self.ids = gram, h, ids
+        self.gram, self.h, self.ids = gram, h, np.array(ids)  # a copy: keep() reorders the rows in place
         self.x = np.zeros((m, n + 1))
         self.b = np.zeros((m, min(_STACK_WIDTH, n), min(_STACK_WIDTH, n) + 2))
         self.cols = np.full((m, n), n, dtype=np.intp)
@@ -410,28 +408,48 @@ class _FreeSetStack:
         self.uu, self.uw = np.zeros(m), np.zeros(m)
         self.valid = np.ones(m, dtype=bool)
         self.runs = [(0, m, 0)]
+        self.offsets = np.arange(0, m * (n + 1), n + 1)[:, None]  # of row r in x.ravel(), by position
 
     @property
     def free(self) -> np.ndarray:
         """The (K, m) free columns, position first, K the largest k: free[i] is the i-th of every row, n past its k."""
         return self.cols[:, : self.runs[0][2]].T
 
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep the given rows, in the given order, which must be sorted by k, largest first."""
+    def keep(self, rows: np.ndarray) -> np.ndarray:
+        """Keep the rows where the mask ``rows`` holds, sorted by k, largest first; return their old positions in the new order.
+
+        Rows are moved in place, and only those whose k does not fit their place."""
+        kept = rows.nonzero()[0]
+        order = kept[np.argsort(-self.k[kept], kind="stable")]
+        m = len(order)
+        stays = np.zeros(len(rows), dtype=bool)
+        stays[:m] = rows[:m] & (self.k[:m] == self.k[order])
+        to, placed = (~stays[:m]).nonzero()[0], np.arange(m)
+        placed[to] = come = order[~stays[order]]
         for name in self._ROWS:
-            setattr(self, name, getattr(self, name)[rows])
+            a = getattr(self, name)
+            a[to] = a[come]
+            setattr(self, name, a[:m])
         self.runs = _runs(self.k)
+        return placed
 
-    def solve(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The KKT steps (z, nu) of every row, or of ``rows`` sorted by k, largest first; z (m, K) zero past k[r].
+    def solve(self, rows: np.ndarray | None = None, fresh: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The KKT steps (z, nu) of every row, or of ``rows`` sorted by k, largest first; z (m, K) zero past k[r], K the largest k.
 
-        A row whose factor is invalid or gives a non-finite step falls back on
-        its own to :func:`_lstsq_step`.
+        The rows where the mask ``fresh`` holds first get u.u and u.w summed
+        anew, as :meth:`_FreeSetFactor.drop` sums them. A row whose factor is
+        invalid or gives a non-finite step falls back on its own to :func:`_lstsq_step`.
         """
         sel = slice(None) if rows is None else rows
-        b, k, valid = self.b[sel], self.k[sel], self.valid[sel]
+        b, k, valid, uu, uw = self.b[sel], self.k[sel], self.valid[sel], self.uu[sel], self.uw[sel]
         runs = self.runs if rows is None else _runs(k)
-        nu = np.divide(self.uw[sel] - 1.0, self.uu[sel], out=np.full(len(k), np.nan), where=valid)
+        if fresh is not None:
+            for start, stop, run_k in runs:
+                u = b[start:stop, None, :run_k, 0]
+                np.copyto(uu[start:stop], np.matmul(u, b[start:stop, :run_k, 0, None])[:, 0, 0], where=fresh[start:stop])
+                np.copyto(uw[start:stop], np.matmul(u, b[start:stop, :run_k, 1, None])[:, 0, 0], where=fresh[start:stop])
+            self.uu[rows], self.uw[rows] = uu, uw
+        nu = np.divide(uw - 1.0, uu, out=np.full(len(k), np.nan), where=valid)
         width = runs[0][2]
         v = b[:, :width, 1] - nu[:, None] * b[:, :width, 0]
         if len(runs) == 1:
@@ -440,26 +458,27 @@ class _FreeSetStack:
             z = np.zeros((len(nu), width))
             for start, stop, run_k in runs:
                 z[start:stop, :run_k] = np.matmul(v[start:stop, None, :run_k], b[start:stop, :run_k, 2 : run_k + 2])[:, 0]
-        if not math.isfinite(nu.sum() + z.sum()):
+        if not math.isfinite(np.add.reduce(nu) + np.add.reduce(z, axis=None)):
             h, cols = self.h[sel], self.cols[sel]
-            for r in np.flatnonzero(~np.isfinite(nu + z.sum(axis=1))):
+            for r in (~np.isfinite(nu + z.sum(axis=1))).nonzero()[0]:
                 z[r, : k[r]], nu[r] = _lstsq_step(self.gram, h[r], cols[r, : k[r]])
         return z, nu
 
     def append(self, j: np.ndarray) -> None:
-        """Add column j[r] to row r, for every row: :meth:`_FreeSetFactor.append`, its products run by run.
+        """Add column j[r] to row r, for every row: :meth:`_FreeSetFactor.append`, its products and writes run by run.
 
         When the widest row fills the buffers, they first double in width, at most to n.
         """
-        everyone, k, width = np.arange(len(j)), self.k, self.runs[0][2]
+        n, width = len(self.gram), self.runs[0][2]
         if width == self.b.shape[1]:
-            grown, old = min(2 * width, len(self.gram)), self.b
+            grown, old = min(2 * width, n), self.b
             self.b = np.zeros((len(j), grown, grown + 2))
             self.b[:, :width, : width + 2] = old
+        g = self.gram.take(j[:, None] * n + self.cols[:, :width], mode="clip")  # G[j, F]; clipped past k, and not read there
         ll, row = np.empty(len(j)), np.zeros((len(j), width + 2))
         for start, stop, run_k in self.runs:
             b = self.b[start:stop, :run_k, : run_k + 2]
-            l = np.matmul(b[:, :, 2:], self.gram[j[start:stop, None], self.cols[start:stop, :run_k]][:, :, None])
+            l = np.matmul(b[:, :, 2:], g[start:stop, :run_k, None])
             ll[start:stop] = np.matmul(l.transpose(0, 2, 1), l)[:, 0, 0]
             row[start:stop, : run_k + 2] = np.matmul(l.transpose(0, 2, 1), b)[:, 0]
         g_jj = self.gram[j, j]
@@ -467,88 +486,86 @@ class _FreeSetStack:
         self.valid &= pivot > _PIVOT_TOL * g_jj
         delta = np.sqrt(np.where(self.valid, pivot, 1.0))
         row[:, 0] -= 1.0
-        row[:, 1] -= self.h[everyone, j]
+        row[:, 1] -= self.h[np.arange(len(j)), j]
         row /= -delta[:, None]
-        self.b[everyone, k, : width + 2] = row  # zero past each row's own k + 2
-        self.b[everyone, k, k + 2] = 1.0 / delta
         self.uu += row[:, 0] * row[:, 0]
         self.uw += row[:, 0] * row[:, 1]
-        self.cols[everyone, k] = j
-        self.k = k + 1
+        for start, stop, run_k in self.runs:  # buffer row k is zero past column k + 2 already, as every row r past r + 2
+            self.b[start:stop, run_k, : run_k + 2] = row[start:stop, : run_k + 2]
+            self.b[start:stop, run_k, run_k + 2] = 1.0 / delta[start:stop]
+            self.cols[start:stop, run_k] = j[start:stop]
+        self.k += 1
         self.runs = [(start, stop, run_k + 1) for start, stop, run_k in self.runs]
 
     def drop_blocking(self, rows: np.ndarray, z: np.ndarray, nu: np.ndarray) -> list[int]:
         """:func:`_drop_blocking` for the given rows together, writing their new steps into z and nu; returns the rows that fail.
 
-        A round steps every row still dropping, :meth:`_downdate` removes the
-        last zeroed position of every valid factor until none is left, an
-        invalid factor is rebuilt alone, and :meth:`solve` re-solves the rows.
+        ``rows`` are sorted by k, largest first. A round steps every row still
+        dropping, :meth:`_downdate` removes the last zeroed position of every
+        valid factor until none is left, an invalid factor is rebuilt alone,
+        and :meth:`solve` re-solves the rows, sorted by their new k.
         """
         n = len(self.gram)
         for _ in range(n + 10):  # the cap of _drop_blocking: a row still dropping after it fails
-            k = self.k[rows]
-            width = int(k.max())
-            live, valid = np.arange(width) < k[:, None], self.valid[rows]
-            free, zr = self.cols[rows, :width], z[rows, :width]
-            xf = self.x[rows[:, None], free]
+            valid, width = self.valid[rows], int(self.k[rows[0]])
+            cols, zr = self.cols[rows, :width], z[rows, :width]
+            free = cols + self.offsets[rows]  # flat indices into x
+            xf = self.x.take(free)
             ratios = np.divide(xf, xf - zr, out=np.full(xf.shape, np.inf), where=zr < -_FEAS_TOL)
-            alpha = ratios.min(axis=1)[:, None]
-            xf = xf + alpha * (zr - xf)
+            alpha = np.minimum.reduce(ratios, axis=1)[:, None]
+            xf += alpha * (zr - xf)
             xf[ratios <= alpha * (1.0 + _TIE_BAND)] = 0.0
-            self.x[rows[:, None], free] = np.maximum(xf, 0.0)
-            zeroed = (xf <= 0.0) & live & valid[:, None]
+            self.x.put(free, np.maximum(xf, 0.0))
+            kept = xf > 0.0  # never past k, where x and z are zero
+            zeroed = ~kept & (cols < n) & valid[:, None]
             while zeroed.any():
-                at = np.flatnonzero(zeroed.any(axis=1))
+                at = np.logical_or.reduce(zeroed, axis=1).nonzero()[0]
                 i = width - 1 - zeroed[at, ::-1].argmax(axis=1)
                 self._downdate(rows[at], i)
                 zeroed[at, i] = False
-            for j, r in zip(np.flatnonzero(~valid).tolist(), rows[~valid].tolist()):
+            for j in (~valid).nonzero()[0].tolist():
+                r = int(rows[j])
                 factor = _FreeSetFactor(self.gram, self.h[r], b=self.b[r], cols=self.cols[r])
-                factor.rebuild(free[j, (xf[j] > 0.0) & live[j]])
+                factor.rebuild(cols[j, kept[j]])
                 self.k[r], self.uu[r], self.uw[r], self.valid[r] = factor.k, factor.uu, factor.uw, factor.valid
                 self.cols[r, factor.k :] = n
-            rows = rows[np.argsort(-self.k[rows], kind="stable")]
-            step, nu[rows] = self.solve(rows)
-            z[rows] = 0.0
+            order = (-self.k[rows]).argsort(kind="stable")
+            rows = rows[order]
+            step, nu[rows] = self.solve(rows, fresh=valid[order])
             z[rows, : step.shape[1]] = step
-            rows = rows[step.min(axis=1) < -_FEAS_TOL]
+            z[rows, step.shape[1] :] = 0.0
+            rows = rows[np.logical_or.reduce(step < -_FEAS_TOL, axis=1)]
             if not rows.size:
                 return []
         return rows.tolist()
 
     def _downdate(self, rows: np.ndarray, i: np.ndarray) -> None:
-        """:meth:`_FreeSetFactor.drop` of free position i[j] from row rows[j], for all at once.
+        """:meth:`_FreeSetFactor.drop` of free position i[j] from row rows[j], for all at once, leaving u.u and u.w to :meth:`solve`.
 
         Each row's buffer rows i..k-1 form one block, a shorter chain padded
-        with copies of its last row, which no written row sums. u.u and u.w
-        are summed per row, on the strided views :meth:`_FreeSetFactor.drop` sums.
+        with copies of its last row k - 1, which no live row sums. The rotated
+        padding is written back to row k - 1, which leaves the free set; like
+        every row r of the buffer, it stays zero past column r + 2.
         """
         n, k = len(self.gram), self.k[rows]
-        span, width = k - i, int(k.max()) + 2
-        t = np.arange(span.max())
-        at = np.minimum(i[:, None] + t, k[:, None] - 1)
-        g = self.b[rows[:, None], at, :width]
-        s = g[np.arange(len(rows)), :, i + 2]
-        rho = np.sqrt(np.cumsum(s * s, axis=1))
-        a = np.cumsum(s[:, :, None] * g, axis=1) / rho[:, :, None]
+        span = k - i
+        at = np.minimum(i[:, None] + np.arange(span[span.argmax()]), k[:, None] - 1)
+        g = self.b[rows[:, None], at, : k[k.argmax()] + 2]
+        s = self.b[rows[:, None], at, (i + 2)[:, None]]
+        rho = np.sqrt(np.add.accumulate(s * s, axis=1))
+        a = np.add.accumulate(s[:, :, None] * g, axis=1) / rho[:, :, None]
         new = (rho[:, :-1, None] * g[:, 1:] - s[:, 1:, None] * a[:, :-1]) / rho[:, 1:, None]
-        before = np.arange(width - 1) < (i + 2)[:, None]  # column i deleted
-        new = np.where(before[:, None, :], new[:, :, :-1], new[:, :, 1:])
-        written = t[1:] < span[:, None]
-        self.b[np.broadcast_to(rows[:, None], written.shape)[written], at[:, :-1][written], : width - 1] = new[written]
-        cols = self.cols[rows]
-        self.cols[rows, :-1] = np.where(np.arange(n - 1) < i[:, None], cols[:, :-1], cols[:, 1:])
+        before = np.arange(g.shape[2] - 1) < (i + 2)[:, None, None]  # column i deleted
+        self.b[rows[:, None], at[:, :-1], : g.shape[2] - 1] = np.where(before, new[:, :, :-1], new[:, :, 1:])
+        self.cols[rows[:, None], at[:, :-1]] = self.cols[rows[:, None], at[:, 1:]]
         self.cols[rows, k - 1] = n
         self.k[rows] = k - 1
-        for r, kr in zip(rows.tolist(), (k - 1).tolist()):
-            u, w = self.b[r, :kr, 0], self.b[r, :kr, 1]
-            self.uu[r], self.uw[r] = u @ u, u @ w
 
 
 def _runs(k: np.ndarray) -> list[tuple[int, int, int]]:
     """The (start, stop, k) of each run of equal k in k, which is sorted, largest first."""
-    stops = [*(np.flatnonzero(np.diff(k)) + 1).tolist(), len(k)]
-    return [(start, stop, int(k[start])) for start, stop in zip([0, *stops], stops)]
+    starts = [0, *((k[1:] != k[:-1]).nonzero()[0] + 1).tolist()]
+    return [(start, stop, int(k[start])) for start, stop in zip(starts, [*starts[1:], len(k)])]
 
 
 def _solve_free(

@@ -147,12 +147,15 @@ def test_a_single_state_is_a_stack_of_one(d, monkeypatch):
 
 
 def test_readme_sample_235_in_its_probe_stack():
-    # At n_samples = 236 the last stack of 52 holds samples 208-235; at 250, samples 208-249.
+    # The probe's second stack at d = 6 starts at stack_height(6) = 157: it
+    # holds samples 157-235 at n_samples = 236, and samples 157-249 at 250.
+    first = stack_height(6)
+    assert first == 157
     system = family_system(6)
     for last in (236, 250):
-        rhos = perturbed(6, range(208, last))
-        verdict = hull_membership(np.array(rhos), system)[235 - 208]
-        alone = hull_membership(rhos[235 - 208], system)
+        rhos = perturbed(6, range(first, last))
+        verdict = hull_membership(np.array(rhos), system)[235 - first]
+        alone = hull_membership(rhos[235 - first], system)
         assert not verdict.member and not alone.member
         assert abs(verdict.distance - alone.distance) <= 1e-15
         assert abs(verdict.distance - 0.022795728761780557) <= 1e-12
@@ -189,6 +192,48 @@ def test_a_row_at_the_iteration_cap_fails_alone(monkeypatch):
             x_alone = simplex_least_squares(system.gram, row, max_iter=cap)
             assert np.array_equal(x_one, x_alone)
             assert np.abs(x_row - x_alone).max() <= 1e-12
+
+
+def test_a_row_past_the_drop_cap_fails_alone(monkeypatch):
+    # One row's zeroed columns are never downdated out of its factor, so its
+    # step stays negative and it drops round after round: past the cap of
+    # n + 10 rounds it is NaN, with a None verdict, and every other row keeps
+    # the x of its single solve.
+    system = family_system(6)
+    rhos = ginibre(6, 12)
+    h, n = system.expectations(np.array(rhos)), len(system.gram)
+    drops = []
+    drop = _FreeSetFactor.drop
+    monkeypatch.setattr(_FreeSetFactor, "drop", lambda self, i: drops.append(i) or drop(self, i))
+    singles = []
+    for row in h:
+        drops.clear()
+        singles.append((simplex_least_squares(system.gram, row), len(drops)))
+    monkeypatch.undo()
+    victim = next(r for r, (_, dropped) in enumerate(singles) if dropped)
+    victim_passes = []
+    downdate = _FreeSetStack._downdate
+
+    def no_drops_for_the_victim(self, rows, i):
+        others = self.ids[rows] != victim
+        if not others.all():
+            victim_passes.append(1)
+            assert len(victim_passes) <= 2 * n * (n + 10)  # more than any capped run: the loop has no cap
+        if others.any():
+            downdate(self, rows[others], i[others])
+
+    monkeypatch.setattr(_FreeSetStack, "_downdate", no_drops_for_the_victim)
+    x = simplex_least_squares(system.gram, h)
+    victim_passes.clear()
+    verdicts = hull_membership(np.array(rhos), system)
+    monkeypatch.undo()
+    assert len(victim_passes) >= n + 10
+    for r, ((x_alone, _), verdict) in enumerate(zip(singles, verdicts)):
+        if r == victim:
+            assert np.isnan(x[r]).all() and verdict is None
+        else:
+            assert np.array_equal(x[r], x_alone)
+            assert verdict.distance == hull_membership(rhos[r], system).distance
 
 
 def test_a_failed_row_is_none_and_the_probe_counts_it_alone(monkeypatch):
@@ -291,6 +336,15 @@ def test_ginibre_draws_in_a_stack_are_the_single_draws(d):
         assert np.array_equal(rho, _ginibre_state(_rng(12721, i), d))
 
 
+def assert_rows_zero_past_their_diagonal(b):
+    # Buffer row r is [u_r, w_r, R_r.] with R lower triangular, so it is zero
+    # past column r + 2: append writes a new row only up to there, and a
+    # downdate leaves the rotated padding of a short chain in the row that
+    # leaves the free set, which the next append then reuses.
+    r, c = np.ogrid[: b.shape[1], : b.shape[2]]
+    assert not b[:, c > r + 2].any()
+
+
 def test_rows_drop_together_as_each_drops_alone(monkeypatch):
     # Eight rows of five free columns over one Gram whose column 12 nearly
     # repeats column 0, each with a point x on its free set, and the step z
@@ -340,6 +394,10 @@ def test_rows_drop_together_as_each_drops_alone(monkeypatch):
             assert np.array_equal(stack.b[r, :k, : k + 2], factor.b[:k, : k + 2])
             assert stack.uu[r] == factor.uu and stack.uw[r] == factor.uw
     assert stack.k[2] <= 3  # both tied variables left
+    assert_rows_zero_past_their_diagonal(stack.b)
+    stack.keep(np.ones(8, dtype=bool))
+    stack.append(np.array([np.setdiff1d(np.arange(n), stack.cols[r, : stack.k[r]])[0] for r in range(8)]))
+    assert_rows_zero_past_their_diagonal(stack.b)
 
 
 def test_free_sets_that_outgrow_two_doublings_get_their_single_solves(monkeypatch):
@@ -347,12 +405,25 @@ def test_free_sets_that_outgrow_two_doublings_get_their_single_solves(monkeypatc
     # stack's buffers double from 16 to 32 and to 64 wide.
     system = family_system(12)
     h = system.expectations(np.array(ginibre(12, 16)))
-    widths = set()
-    append = _FreeSetStack.append
-    monkeypatch.setattr(_FreeSetStack, "append", lambda self, j: append(self, j) or widths.add(self.b.shape[1]))
+    widths, drops = set(), []
+    append, drop_blocking = _FreeSetStack.append, _FreeSetStack.drop_blocking
+
+    def checked_append(self, j):
+        append(self, j)
+        widths.add(self.b.shape[1])
+        assert_rows_zero_past_their_diagonal(self.b)
+
+    def checked_drop_blocking(self, rows, z, nu):
+        drops.append(len(rows))
+        failed = drop_blocking(self, rows, z, nu)
+        assert_rows_zero_past_their_diagonal(self.b)
+        return failed
+
+    monkeypatch.setattr(_FreeSetStack, "append", checked_append)
+    monkeypatch.setattr(_FreeSetStack, "drop_blocking", checked_drop_blocking)
     x = simplex_least_squares(system.gram, h)
     monkeypatch.undo()
-    assert sorted(widths) == [16, 32, 64]
+    assert sorted(widths) == [16, 32, 64] and drops
     for row, x_row in zip(h, x):
         assert np.array_equal(x_row, simplex_least_squares(system.gram, row))
 
