@@ -25,7 +25,7 @@ from .exceptions import (
     NotUnitTrace,
 )
 from .families import PureFamily, family_states, lettered_families, member_labels, prime_pair
-from .linalg import DEFAULT_TOL, INPUT_GATE_TOL, Tolerances, as_matrix, require_hermitian
+from .linalg import DEFAULT_TOL, INPUT_GATE_TOL, Tolerances, _checked, as_matrix, require_hermitian
 from .solver import simplex_least_squares
 
 # Gram eigenvalues at or below this fraction of the largest are taken as zero
@@ -89,9 +89,10 @@ class HullSystem:
 
     A system built from a plain projector list keeps ``matrix``, one
     stacked-real column per projector (``gram`` is ``matrix.T @ matrix``),
-    and ``pinv_gram``, the pseudo-inverse of ``gram`` (see
-    :data:`PINV_CUTOFF`); then pinv(matrix) @ vec(rho) =
-    pinv_gram @ (matrix.T @ vec(rho)). That layout's only job is to serve
+    ``pinv_gram``, the pseudo-inverse of ``gram`` (see :data:`PINV_CUTOFF`),
+    so that pinv(matrix) @ vec(rho) = pinv_gram @ (matrix.T @ vec(rho)), and
+    ``kernel``, the eigenvectors the cutoff drops: an orthonormal basis of
+    ker ``gram`` for the solver's kernel step. That layout's only job is to serve
     callers that pass a projector list of their own: every hull and span
     query the package makes itself runs on a family-built system.
     """
@@ -101,6 +102,7 @@ class HullSystem:
     weights: np.ndarray | None = None
     matrix: np.ndarray | None = None
     pinv_gram: np.ndarray | None = None
+    kernel: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -142,19 +144,17 @@ def hull_system(source) -> HullSystem:
     """Prepare a projector list, or the states of a list of families.
 
     A system built from families is rank-one and carries the Weyl data of
-    :class:`HullSystem`; no dense projector is built. One built from a
-    projector list stacks it and keeps its ``pinv_gram``, from one
-    eigendecomposition of the Gram.
+    :class:`HullSystem`; no dense projector is built. One built from a list of
+    finite d x d projectors (else ValueError) stacks it and keeps ``pinv_gram``
+    and ``kernel``, from one eigendecomposition of the Gram.
     """
-    if not len(source):
-        raise ValueError("need at least one projector")
-    if not isinstance(source[0], PureFamily):
-        mat = stack_real(source)
+    if not len(source) or not isinstance(source[0], PureFamily):
+        mat = stack_real(_checked(np.asarray(source, dtype=np.complex128), 3))  # ragged: ValueError from numpy
         gram = mat.T @ mat
         eig, vecs = np.linalg.eigh(gram)
         keep = eig > PINV_CUTOFF * eig[-1]
         kept = vecs[:, keep]
-        return HullSystem(gram=gram, matrix=mat, pinv_gram=(kept / eig[keep]) @ kept.T)
+        return HullSystem(gram=gram, matrix=mat, pinv_gram=(kept / eig[keep]) @ kept.T, kernel=vecs[:, ~keep])
     states = np.hstack([fam.states for fam in source])
     gram = np.abs(states.conj().T @ states)
     gram *= gram
@@ -209,8 +209,7 @@ def _weyl_frame(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def stack_real(matrices) -> np.ndarray:
     """Columns of [Re(flat); Im(flat)] per matrix; column norms are Frobenius norms."""
-    cols = [np.asarray(m, dtype=np.complex128).reshape(-1) for m in matrices]
-    block = np.array(cols).T
+    block = np.asarray(matrices, dtype=np.complex128).reshape(len(matrices), -1).T
     return np.vstack([block.real, block.imag])
 
 
@@ -378,13 +377,12 @@ def hull_membership(
     MixedDimensions before any arithmetic on it.
 
     The solver works on the Gram and h_k = <P_k, rho>, computed once per
-    query: from the state vectors for a system built from families, from
-    the stacked matrix for one built from a projector list. Its first step
-    is the state's min-norm coefficients, which it keeps when they are
-    feasible and stationary: from the Weyl coefficients for a system built
-    from families (only for a state within ``tol.recon`` of their span),
-    and from ``pinv_gram`` for one built from a projector list. The
-    distance is computed in primal coordinates.
+    query from the system's state vectors or stacked matrix. Its first step
+    is the state's min-norm coefficients, kept when they are feasible and
+    stationary: from the Weyl coefficients for a system built from families
+    (only for a state within ``tol.recon`` of their span), and from
+    ``pinv_gram`` for one built from a list, which passes its ``kernel`` too.
+    The distance is computed in primal coordinates.
 
     Against a system built from families, ``rho`` may also be a stack of m
     states, an (m, d, d) array or a list of d x d states; a single state is
@@ -409,8 +407,8 @@ def hull_membership(
             raise ValueError("a stack of states needs a system built from families")
         vec = stack_real([a]).reshape(-1)
         h = system.matrix.T @ vec
-        coeffs = simplex_least_squares(system.gram, h, candidate=system.pinv_gram @ h)
-        return _verdict(coeffs, np.linalg.norm(system.matrix @ coeffs - vec), tol, labels)
+        coeffs = simplex_least_squares(system.gram, h, candidate=system.pinv_gram @ h, kernel=system.kernel)
+        return _verdict(coeffs, math.sqrt((r := system.matrix @ coeffs - vec) @ r), tol, labels)  # np.linalg.norm's bits
     stack = a.reshape(-1, system.dim, system.dim)  # a single state is a stack of one
     h = system.expectations(stack)
     weyl = weyl_coefficients(stack)

@@ -38,10 +38,12 @@ coordinates, since x.G x - 2 h.x + ||b||^2 loses the small distances to
 cancellation.
 
 A caller that knows pinv(A) b in closed form (the Weyl min-norm step of a
-family-built :class:`~kdclassical.geometry.HullSystem`) passes it as
-``candidate``; it is the first KKT step, with every column free and
-nu = 0, and ends the solve when it passes the KKT test. Otherwise the
-active set runs from the best vertex, unchanged.
+family-built :class:`~kdclassical.geometry.HullSystem`, pinv(G) h of a
+list-built one) passes it as ``candidate``, the first KKT step (every column
+free, nu = 0), which ends the solve when it passes the KKT test. A list-built
+system also passes ``kernel``, a basis of ker G: a failed candidate is moved
+within candidate + ker G first (:func:`_kernel_step`), and a row that still
+fails runs the active set from the best vertex, unchanged.
 
 Every call solves h as an (m, n) stack of right-hand sides against one
 Gram, a 1-D h (one query) as a stack of one. The candidate step is checked
@@ -113,6 +115,7 @@ def simplex_least_squares(
     h: np.ndarray,
     max_iter: int | None = None,
     candidate: np.ndarray | None = None,
+    kernel: np.ndarray | None = None,
 ) -> np.ndarray:
     """Return the minimizer x of ||A x - b|| over the simplex, given G = A^T A and h = A^T b.
 
@@ -121,8 +124,9 @@ def simplex_least_squares(
     KKT step, with every column free and nu = 0, and it is returned when it
     is finite, feasible (entries >= -_FEAS_TOL, sum 1) and stationary on
     every column: then A x is the projection of b onto the span of the
-    columns, so no point of the simplex is closer. Otherwise the active set
-    starts from the best vertex as usual.
+    columns, so no point of the simplex is closer. Otherwise it is moved
+    within candidate + range(``kernel``), an orthonormal basis of ker G, when
+    one is given (:func:`_kernel_step`), then the active set starts from the best vertex.
 
     ``h`` is one right-hand side or an (m, n) stack of them, with
     ``candidate`` of the same shape (a row of NaN: none for that row), and
@@ -134,18 +138,17 @@ def simplex_least_squares(
     gram = np.asarray(gram, dtype=float)
     h = np.asarray(h, dtype=float)
     n = h.shape[-1] if h.ndim else 0
-    if n == 0:
-        raise ValueError("need at least one column")
-    if h.ndim > 2:
-        raise ValueError(f"h must be one right-hand side or a stack of them, got shape {h.shape}")
-    if max_iter is None:
-        max_iter = 10 * n + 100
+    if n == 0 or h.ndim > 2:
+        raise ValueError(f"h must be one right-hand side of at least one column or a stack of them, got shape {h.shape}")
+    max_iter = 10 * n + 100 if max_iter is None else max_iter
     rows = h.reshape(-1, n)
     if candidate is None:
         x, todo = np.empty(rows.shape), np.arange(len(rows))
     else:
         z, _ = _solve_free(gram, rows, range(n), candidate=np.asarray(candidate, dtype=float).reshape(rows.shape))
         x, todo = np.maximum(z, 0.0), (~_feasible_and_stationary_rows(gram, rows, z)).nonzero()[0]
+        if kernel is not None:
+            todo = [r for r in todo if not _kernel_step(gram, rows[r], z[r], kernel, x[r])]
     # Every row left to do is solved, or made NaN when it does not converge.
     if len(todo) >= _MIN_STACK:
         _active_set_stack(gram, rows, todo, max_iter, x)
@@ -188,7 +191,7 @@ def _active_set(gram: np.ndarray, h: np.ndarray, max_iter: int) -> np.ndarray:
         reduced[free] = 0.0
         cost = reduced[reduced.argmin()]
         # cutoff <= the test's own threshold, so below it the test fails.
-        if cost >= cutoff and cost >= -_DUAL_TOL * max(1.0, float(np.abs(grad).max())):
+        if cost >= cutoff and cost >= -_DUAL_TOL * max(1.0, float(np.maximum.reduce(np.abs(grad)))):
             return x
         # The lowest index within the band of cost < 0, and at most cost / 2, so never a free column's 0.
         factor.append(int((reduced <= min(cost + band, 0.5 * cost)).argmax()))
@@ -281,7 +284,33 @@ def _active_set_stack(gram: np.ndarray, h: np.ndarray, todo: np.ndarray, max_ite
 
 def _grad_bound(gram: np.ndarray, h: np.ndarray):
     """B >= max |G x - h|, roundoff included, for x >= 0 with sum(x) <= 1.5; the loop's x sum to one. One per row of a stack."""
-    return 2.0 * (float(np.abs(gram).max()) + np.abs(h).max(axis=-1))
+    return 2.0 * (float(np.maximum.reduce(np.abs(gram), axis=None)) + np.maximum.reduce(np.abs(h), axis=-1))
+
+
+def _kernel_step(gram: np.ndarray, h: np.ndarray, z: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> bool:
+    """Move a failed candidate z within z + range(kernel), where A x and the gradient stay put; True, with x in ``out``, if x passes.
+
+    Each round pins the entries below -_FEAS_TOL to zero by the min-norm t of K_P t = z_P, x = z - K t (K = kernel,
+    orthonormal). It gives up when K_P K_P^T is singular, more columns are pinned than K has, or a round pins no new
+    column or does not raise the most negative entry (every repair met at d = 4 to 12 raised it).
+    """
+    pinned = z < -_FEAS_TOL
+    count, worst = np.count_nonzero(pinned), z[z.argmin()]
+    while 0 < count <= kernel.shape[1] and math.isfinite(worst):  # a NaN or -inf entry is never moved
+        rows = kernel.take(pinned.nonzero()[0], axis=0)
+        try:  # ndarray.dot: on these small operands it costs less than matmul's dispatch
+            x = z - kernel.dot(np.linalg.solve(rows.dot(rows.T), z[pinned]).dot(rows))
+        except np.linalg.LinAlgError:
+            return False
+        if (least := x[x.argmin()]) >= -_FEAS_TOL:
+            passed = bool(_feasible_and_stationary_rows(gram, h[None], x[None])[0])
+            np.copyto(out, np.maximum(x, 0.0), where=passed)
+            return passed
+        pinned |= x < -_FEAS_TOL
+        if not least > worst or count == (count := np.count_nonzero(pinned)):
+            return False
+        worst = least
+    return False
 
 
 def _feasible_and_stationary_rows(gram: np.ndarray, h: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -290,6 +319,9 @@ def _feasible_and_stationary_rows(gram: np.ndarray, h: np.ndarray, z: np.ndarray
     A NaN or infinite entry fails the sign or the sum test, and with nu = 0
     max |grad + nu| <= _DUAL_TOL max(1, max |grad|) reads max |grad| <= _DUAL_TOL.
     """
+    if len(z) == 1:  # the same bits in fewer calls: the sign and sum tests on numpy scalars
+        ok = z[0, z[0].argmin()] >= -_FEAS_TOL and abs(np.add.reduce(z[0]) - 1.0) <= _FEAS_TOL * z.shape[1]
+        return np.array([ok and np.maximum.reduce(np.abs(np.matmul(gram, z[0]) - h[0])) <= _DUAL_TOL])
     ok = (np.minimum.reduce(z, axis=1) >= -_FEAS_TOL) & (np.abs(np.add.reduce(z, axis=1) - 1.0) <= _FEAS_TOL * z.shape[1])
     if np.count_nonzero(ok):  # ufuncs and C calls, not the ndarray methods' Python wrappers
         grad = np.matmul(gram, z[:, :, None])[:, :, 0]  # per row, as alone
