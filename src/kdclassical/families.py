@@ -12,6 +12,7 @@ kept distinct: (p,q) and (q,p) give different families for p != q.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,7 +52,7 @@ class PureFamily:
 
     def labels(self) -> list[str]:
         """See :func:`member_labels`."""
-        return member_labels(self.p, self.q)
+        return list(member_labels(self.p, self.q))
 
 
 @dataclass(frozen=True)
@@ -98,14 +99,15 @@ def family_label(p: int, q: int) -> str:
     return f"PSI({p},{q})" if p <= q else f"PHI({p},{q})"
 
 
-def member_labels(p: int, q: int) -> list[str]:
+@functools.lru_cache(maxsize=16)
+def member_labels(p: int, q: int) -> tuple[str, ...]:
     """``A[m]``, ``B[s]`` or ``<label>[m,s]`` per member of the (p, q) family, in member order."""
     label = family_label(p, q)
     if label == "A":
-        return [f"A[{m}]" for m in range(p)]
+        return tuple(f"A[{m}]" for m in range(p))
     if label == "B":
-        return [f"B[{s}]" for s in range(q)]
-    return [f"{label}[{m},{s}]" for m in range(p) for s in range(q)]
+        return tuple(f"B[{s}]" for s in range(q))
+    return tuple(f"{label}[{m},{s}]" for m in range(p) for s in range(q))
 
 
 def _check_member(d: int, p: int, q: int, m: int = 0, s: int = 0) -> None:
@@ -138,11 +140,12 @@ def psi_state_b_form(pair: BasisPair, p: int, q: int, m: int, s: int) -> np.ndar
     return phase * v / np.sqrt(p)
 
 
+@functools.lru_cache(maxsize=16)
 def family_states(d: int, p: int, q: int) -> np.ndarray:
     """All members of the (p, q) family at once: column m*q + s is ``psi_state(pair, p, q, m, s)``.
 
     The phases are evaluated by the same expression as in :func:`psi_state`,
-    elementwise, so the columns are bit-identical to it.
+    elementwise, so the columns are bit-identical to it. Cached and read-only.
     """
     _check_member(d, p, q)
     k = np.arange(q)
@@ -150,13 +153,12 @@ def family_states(d: int, p: int, q: int) -> np.ndarray:
     m = np.arange(p)
     states = np.zeros((p, q, q, p), dtype=np.complex128)  # [m, s, k, i mod p]: entry i = k*p + m
     states[m, :, :, m] = phases
+    states.setflags(write=False)  # and so are its views
     return states.reshape(p * q, d).T
 
 
 def build_family(pair: BasisPair, p: int, q: int) -> PureFamily:
-    states = family_states(pair.dim, p, q)
-    states.setflags(write=False)
-    return PureFamily(label=family_label(p, q), dim=pair.dim, p=p, q=q, states=states)
+    return PureFamily(label=family_label(p, q), dim=pair.dim, p=p, q=q, states=family_states(pair.dim, p, q))
 
 
 def pure_kd_set(pair: BasisPair) -> list[PureFamily]:

@@ -1,16 +1,15 @@
 """Convex geometry of the classical-state set: spans, decompositions, hulls.
 
-Projector lists are treated as real vectors via the Frobenius-isometric
-stacking of real and imaginary parts, so least-squares residuals in the
-stacked coordinates equal Frobenius distances between matrices. The
-family projectors are rank one, and a hull system built from families
-works on their state vectors instead.
+Every projector a hull query meets is rank one, P_k = |psi_k><psi_k|, so a
+hull system keeps the state vectors psi_k and no dense projector. Spans of
+general operator lists are computed via the Frobenius-isometric stacking of
+real and imaginary parts, so least-squares residuals in the stacked
+coordinates equal Frobenius distances between matrices.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,42 +71,37 @@ class MembershipVerdict:
 class HullSystem:
     """A projector list prepared once, for many hull-membership queries.
 
-    ``gram`` is the n x n matrix of Frobenius inner products <P_j, P_k>,
-    shared by every query against the list.
+    Every system is rank-one: it keeps the state vectors ``states`` (d x n,
+    column k is psi_k, P_k = |psi_k><psi_k|), so that ``gram``, the n x n
+    matrix of Frobenius inner products <P_j, P_k> shared by every query, is
+    |<psi_j|psi_k>|^2, and <P_k, rho> = <psi_k|rho|psi_k>.
 
-    A system built from families is rank-one: it keeps their state vectors
-    ``states`` (d x n, column k is psi_k), so that <P_j, P_k> =
-    |<psi_j|psi_k>|^2 and <P_k, rho> = <psi_k|rho|psi_k>, and ``weights``,
-    the d x d table of 1/c(a, b) with 0 where c = 0. Each family is an
-    orthonormal basis whose diagonal operators are spanned by the Weyl
-    operators X^a Z^b with p | a and q | b, so the frame operator
-    S = sum_k |P_k><P_k| is diagonal in the Weyl basis with eigenvalue
-    c(a, b) = #{families (p, q) : p | a, q | b}. That gives the distance of
-    a state from the span and its min-norm coefficients in closed form.
-    Those need no Gram, and :func:`decompose_pq_three`, which makes no hull
-    query, builds its system without one (``gram`` is None).
+    A system built from families also keeps ``weights``, the d x d table of
+    1/c(a, b) with 0 where c = 0. Each family is an orthonormal basis whose
+    diagonal operators are spanned by the Weyl operators X^a Z^b with p | a
+    and q | b, so the frame operator S = sum_k |P_k><P_k| is diagonal in the
+    Weyl basis with eigenvalue c(a, b) = #{families (p, q) : p | a, q | b}.
+    That gives the distance of a state from the span and its min-norm
+    coefficients in closed form. Those need no Gram, and
+    :func:`decompose_pq_three`, which makes no hull query, builds its system
+    without one (``gram`` is None).
 
-    A system built from a plain projector list keeps ``matrix``, one
-    stacked-real column per projector (``gram`` is ``matrix.T @ matrix``),
-    ``pinv_gram``, the pseudo-inverse of ``gram`` (see :data:`PINV_CUTOFF`),
-    so that pinv(matrix) @ vec(rho) = pinv_gram @ (matrix.T @ vec(rho)), and
-    ``kernel``, the eigenvectors the cutoff drops: an orthonormal basis of
-    ker ``gram`` for the solver's kernel step. That layout's only job is to serve
-    callers that pass a projector list of their own: every hull and span
-    query the package makes itself runs on a family-built system.
+    One built from a projector list has no Weyl data. It keeps ``pinv_gram``,
+    the pseudo-inverse of ``gram`` (:data:`PINV_CUTOFF`), which maps h to the
+    min-norm coefficients, and ``kernel``, the eigenvectors the cutoff drops,
+    an orthonormal basis of ker ``gram`` for the solver's kernel step.
     """
 
     gram: np.ndarray | None
-    states: np.ndarray | None = None
+    states: np.ndarray
     weights: np.ndarray | None = None
-    matrix: np.ndarray | None = None
     pinv_gram: np.ndarray | None = None
     kernel: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         """d of the d x d operators the system describes."""
-        return self.states.shape[0] if self.states is not None else math.isqrt(self.matrix.shape[0] // 2)
+        return self.states.shape[0]
 
     # Each method takes one state's data or a stack of them, one per state
     # along the leading axis, and gives a stacked state the same bits as the
@@ -143,22 +137,37 @@ def _squared_norms(v: np.ndarray):
 def hull_system(source) -> HullSystem:
     """Prepare a projector list, or the states of a list of families.
 
-    A system built from families is rank-one and carries the Weyl data of
-    :class:`HullSystem`; no dense projector is built. One built from a list of
-    finite d x d projectors (else ValueError) stacks it and keeps ``pinv_gram``
-    and ``kernel``, from one eigendecomposition of the Gram.
+    No dense projector is kept. A list of finite d x d projectors gives
+    psi_k = P_k[:, j] / sqrt(P_k[j, j]) at the largest diagonal entry j, and
+    ValueError for a P_k that differs from psi_k psi_k^H by more than
+    :data:`~kdclassical.linalg.INPUT_GATE_TOL` in any real or imaginary part;
+    its ``pinv_gram`` and ``kernel`` come from one ``eigh`` of the Gram.
     """
-    if not len(source) or not isinstance(source[0], PureFamily):
-        mat = stack_real(_checked(np.asarray(source, dtype=np.complex128), 3))  # ragged: ValueError from numpy
-        gram = mat.T @ mat
-        eig, vecs = np.linalg.eigh(gram)
-        keep = eig > PINV_CUTOFF * eig[-1]
-        kept = vecs[:, keep]
-        return HullSystem(gram=gram, matrix=mat, pinv_gram=(kept / eig[keep]) @ kept.T, kernel=vecs[:, ~keep])
-    states = np.hstack([fam.states for fam in source])
+    families = bool(len(source)) and isinstance(source[0], PureFamily)
+    states = np.hstack([fam.states for fam in source]) if families else _projector_states(source)
     gram = np.abs(states.conj().T @ states)
     gram *= gram
-    return HullSystem(gram=gram, states=states, weights=_weyl_weights(source))
+    if families:
+        return HullSystem(gram=gram, states=states, weights=_weyl_weights(source))
+    eig, vecs = np.linalg.eigh(gram)
+    keep = eig > PINV_CUTOFF * eig[-1]
+    kept = vecs[:, keep]
+    return HullSystem(gram=gram, states=states, pinv_gram=(kept / eig[keep]) @ kept.T, kernel=vecs[:, ~keep])
+
+
+def _projector_states(projectors) -> np.ndarray:
+    """The d x n state vectors psi_k of a list of rank-one projectors P_k = psi_k psi_k^H, else ValueError."""
+    projs = _checked(np.asarray(projectors, dtype=np.complex128), 3)  # ragged: ValueError from numpy
+    k = np.arange(len(projs))
+    j = projs.diagonal(axis1=1, axis2=2).real.argmax(axis=1)
+    pivots = projs[k, j, j].real
+    if not (pivots > 0.0).all():  # refused before the division
+        raise ValueError("a projector has no positive diagonal entry")
+    psi = projs[k, :, j] / np.sqrt(pivots)[:, None]
+    dev = float(np.abs(np.subtract(psi[:, :, None] * psi.conj()[:, None, :], projs).view(np.float64)).max())
+    if dev > INPUT_GATE_TOL:
+        raise ValueError(f"a projector deviates from rank one psi psi^H by {dev:.3e} (tol {INPUT_GATE_TOL:.1e})")
+    return np.ascontiguousarray(psi.T)
 
 
 def _weyl_weights(families) -> np.ndarray:
@@ -239,12 +248,9 @@ def quadruple_violation(table: KDTable, p: int) -> float:
     if d != p * p:
         raise BadDimension(f"table dim {d} is not {p}^2")
     q = table.values.real
-    worst = 0.0
-    for rows in (q, q.T):
-        blocks = rows.reshape(p, p, d)  # [k, m]: row k*p + m, so blocks[:, m] is residue class m
-        diffs = blocks[:, None] - blocks[None, :]  # all same-class row pairs
-        worst = max(worst, float((diffs.max(axis=3) - diffs.min(axis=3)).max()))
-    return worst
+    blocks = np.stack([q, q.T]).reshape(2, p, p, d)  # [rows or columns, k, m]: line k*p + m, residue class m
+    diffs = blocks[:, :, None] - blocks[:, None, :]  # all same-class line pairs
+    return float((diffs.max(axis=4) - diffs.min(axis=4)).max())
 
 
 def quadruple_conditions_p2(table: KDTable, p: int, tol: float = 1e-9) -> bool:
@@ -277,17 +283,15 @@ def decompose_p2(
         raise ConditionsFailed(f"quadruple identities violated by {violation:.3e}")
 
     q = table.values.real
-    row_sums = q.sum(axis=1)
-    col_sums = q.sum(axis=0)
-    row_rep = np.array([m + p * int(np.argmin(row_sums[m::p])) for m in range(p)])
-    col_rep = np.array([s + p * int(np.argmin(col_sums[s::p])) for s in range(p)])
-
+    row_sums, col_sums = q.sum(axis=1), q.sum(axis=0)
+    row_rep = np.arange(p) + p * row_sums.reshape(p, p).argmin(axis=0)  # column m of the reshape is class m
+    col_rep = np.arange(p) + p * col_sums.reshape(p, p).argmin(axis=0)
     lam = row_sums - row_sums[row_rep[np.arange(d) % p]]
     mu = col_sums - col_sums[col_rep[np.arange(d) % p]]
-    gamma = d * q[np.ix_(row_rep, col_rep)]
+    gamma = d * q[row_rep[:, None], col_rep]
 
     states = np.hstack([np.eye(d), pair.transition, family_states(d, p, p)])
-    labels = [f"A[{i}]" for i in range(d)] + [f"B[{j}]" for j in range(d)] + member_labels(p, p)
+    labels = member_labels(d, 1) + member_labels(1, d) + member_labels(p, p)
     coeffs = np.concatenate([lam, mu, gamma.reshape(-1)])
     return _certificate(rho, states, labels, coeffs)
 
@@ -364,10 +368,7 @@ def decompose_pq_three(
 
 
 def hull_membership(
-    rho: np.ndarray,
-    projectors,
-    tol: Tolerances = DEFAULT_TOL,
-    labels=None,
+    rho: np.ndarray, projectors, tol: Tolerances = DEFAULT_TOL, labels=None
 ) -> MembershipVerdict | list[MembershipVerdict | None]:
     """Distance minimization over convex combinations of the projector list.
 
@@ -376,21 +377,21 @@ def hull_membership(
     states are tested against it; a state of another dimension raises
     MixedDimensions before any arithmetic on it.
 
-    The solver works on the Gram and h_k = <P_k, rho>, computed once per
-    query from the system's state vectors or stacked matrix. Its first step
-    is the state's min-norm coefficients, kept when they are feasible and
+    Every system takes one path. The solver works on the Gram and h_k =
+    <psi_k|rho|psi_k>, from the system's state vectors. Its first step is the
+    state's min-norm coefficients, kept when they are feasible and
     stationary: from the Weyl coefficients for a system built from families
-    (only for a state within ``tol.recon`` of their span), and from
-    ``pinv_gram`` for one built from a list, which passes its ``kernel`` too.
-    The distance is computed in primal coordinates.
+    (only for a state within ``tol.recon`` of their span), else ``pinv_gram``
+    applied to h, with the system's ``kernel``. The distance is computed in
+    primal coordinates.
 
-    Against a system built from families, ``rho`` may also be a stack of m
-    states, an (m, d, d) array or a list of d x d states; a single state is
-    decided as a stack of one, on the same path. A stack is checked as a
-    whole, and a bad state in it raises what it raises alone. It gives a
-    list of m verdicts, each the one its state gets alone, None where the
-    solve did not converge; a single state gives its verdict or raises
-    SolverDidNotConverge (the failure convention of :mod:`~kdclassical.solver`).
+    ``rho`` may also be a stack of m states, an (m, d, d) array or a list of
+    d x d states; a single state is decided as a stack of one, on the same
+    path. A stack is checked as a whole, and a bad state in it raises what
+    it raises alone. It gives a list of m verdicts, each the one its state
+    gets alone, None where the solve did not converge; a single state gives
+    its verdict or raises SolverDidNotConverge (the failure convention of
+    :mod:`~kdclassical.solver`).
     """
     system = projectors if isinstance(projectors, HullSystem) else hull_system(projectors)
     if isinstance(rho, (list, tuple)) and rho and np.ndim(rho[0]) == 2:  # a list of states, which may not stack
@@ -402,32 +403,27 @@ def hull_membership(
     off = np.abs(trace - 1.0) > INPUT_GATE_TOL
     if off.any():
         raise NotUnitTrace(f"trace is {complex(trace[off][0])!r}, expected 1")
-    if system.states is None:
-        if a.ndim == 3:
-            raise ValueError("a stack of states needs a system built from families")
-        vec = stack_real([a]).reshape(-1)
-        h = system.matrix.T @ vec
-        coeffs = simplex_least_squares(system.gram, h, candidate=system.pinv_gram @ h, kernel=system.kernel)
-        return _verdict(coeffs, math.sqrt((r := system.matrix @ coeffs - vec) @ r), tol, labels)  # np.linalg.norm's bits
     stack = a.reshape(-1, system.dim, system.dim)  # a single state is a stack of one
     h = system.expectations(stack)
-    weyl = weyl_coefficients(stack)
-    near = system.off_span_distance(weyl) <= tol.recon
-    candidate = None
-    if near.any():  # NaN: no candidate for a state off the span
-        candidate = np.where(near[:, None], system.min_norm_coefficients(weyl), np.nan)
+    if system.weights is None:
+        candidate = np.matmul(h[:, None, :], system.pinv_gram)[:, 0]  # one product per row: a stacked row gets its bits alone
+    else:
+        weyl = weyl_coefficients(stack)
+        near = system.off_span_distance(weyl) <= tol.recon  # NaN: no candidate for a state off the span
+        candidate = np.where(near[:, None], system.min_norm_coefficients(weyl), np.nan) if near.any() else None
     # A single state's h goes in 1-D, so that a solve that does not converge raises.
-    coeffs = simplex_least_squares(system.gram, h.reshape(*a.shape[:-2], -1), candidate=candidate).reshape(h.shape)
+    coeffs = simplex_least_squares(system.gram, h.reshape(*a.shape[:-2], -1), candidate=candidate, kernel=system.kernel).reshape(h.shape)
     distance = system.residual(coeffs, stack)
     failed = np.isnan(coeffs).any(axis=1).tolist()
-    verdicts = [None if bad else _verdict(c, dist, tol, labels) for c, dist, bad in zip(coeffs, distance.tolist(), failed)]
+    labels = _index_labels(h.shape[1]) if labels is None else tuple(labels)
+    verdicts = []
+    for x, dist, bad in zip(coeffs, distance.tolist(), failed):
+        member = dist <= tol.recon  # NaN: not a member
+        certificate = DecompositionCertificate(labels, x, dist, float(x.sum())) if member else None
+        verdicts.append(None if bad else MembershipVerdict(member=member, certificate=certificate, distance=dist))
     return verdicts if a.ndim == 3 else verdicts[0]
 
 
-def _verdict(coeffs: np.ndarray, distance, tol: Tolerances, labels) -> MembershipVerdict:
-    distance = float(distance)
-    if not distance <= tol.recon:  # NaN included
-        return MembershipVerdict(member=False, certificate=None, distance=distance)
-    labels = tuple(labels) if labels is not None else tuple(f"P[{k}]" for k in range(len(coeffs)))
-    certificate = DecompositionCertificate(labels, coeffs, distance, float(coeffs.sum()))
-    return MembershipVerdict(member=True, certificate=certificate, distance=distance)
+@functools.lru_cache(maxsize=4)
+def _index_labels(n: int) -> tuple[str, ...]:
+    return tuple(f"P[{k}]" for k in range(n))

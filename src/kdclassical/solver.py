@@ -38,12 +38,13 @@ coordinates, since x.G x - 2 h.x + ||b||^2 loses the small distances to
 cancellation.
 
 A caller that knows pinv(A) b in closed form (the Weyl min-norm step of a
-family-built :class:`~kdclassical.geometry.HullSystem`, pinv(G) h of a
-list-built one) passes it as ``candidate``, the first KKT step (every column
-free, nu = 0), which ends the solve when it passes the KKT test. A list-built
-system also passes ``kernel``, a basis of ker G: a failed candidate is moved
-within candidate + ker G first (:func:`_kernel_step`), and a row that still
-fails runs the active set from the best vertex, unchanged.
+:class:`~kdclassical.geometry.HullSystem` built from families, pinv(G) h of
+one built from a projector list) passes it as ``candidate``, the first KKT
+step (every column free, nu = 0), which ends the solve when it passes the KKT
+test. A list system, having no Weyl data, also passes ``kernel``, a basis of
+ker G: a failed candidate is moved within candidate + ker G first
+(:func:`_kernel_step`), and a row that still fails runs the active set from
+the best vertex, unchanged.
 
 Every call solves h as an (m, n) stack of right-hand sides against one
 Gram, a 1-D h (one query) as a stack of one. The candidate step is checked

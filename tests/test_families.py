@@ -219,5 +219,6 @@ def test_vectorised_build_is_bit_identical_to_psi_state_and_outer(d):
 def test_family_states_are_read_only():
     family = build_family(dft_pair(6), 2, 3)
     assert family.states.shape == (6, 6) and not family.states.flags.writeable
+    assert not family_states(6, 3, 2).flags.writeable  # cached: every caller shares the matrix
     with pytest.raises(ValueError):
         family.states[0, 0] = 0.0

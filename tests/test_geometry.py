@@ -353,7 +353,7 @@ def test_membership_uniform_vs_a_alone():
 
 
 def test_membership_requires_unit_trace():
-    projs = [np.eye(2) / 2]
+    projs = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     with pytest.raises(NotUnitTrace):
         hull_membership(np.eye(2), projs)
 

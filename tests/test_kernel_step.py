@@ -13,7 +13,7 @@ import pytest
 
 from kdclassical import SampleConfig, dft_pair, kd_real_basis, pure_kd_set, sample_kd_boundary, solver
 from kdclassical.families import all_projectors
-from kdclassical.geometry import hull_membership, hull_system, stack_real
+from kdclassical.geometry import hull_membership, hull_system
 from kdclassical.harness import _ginibre_state, _rng
 from kdclassical.solver import _FEAS_TOL, _feasible_and_stationary_rows, _kernel_step, simplex_least_squares
 
@@ -31,8 +31,8 @@ def certify_states(d, seed, n=200):
 
 def problem(system, rho):
     """(gram, h, candidate) as ``hull_membership`` hands them to the solver for a list-built system."""
-    h = system.matrix.T @ stack_real([rho]).reshape(-1)
-    return system.gram, h, system.pinv_gram @ h
+    h = system.expectations(rho)
+    return system.gram, h, np.matmul(h[None, None], system.pinv_gram)[0, 0]
 
 
 def failing(system, states):
@@ -188,8 +188,12 @@ def test_one_row_kkt_test_matches_the_stacked_one():
         [np.diag([np.inf, 0.0]), np.eye(2)],
         [np.eye(2), np.eye(3)],
         [np.ones((2, 3))],
+        [np.diag([1.0, 0.0]), np.eye(2) / 2],
+        [np.diag([1.0, -1.0])],
+        [np.diag([1.0, 0.0]), np.zeros((2, 2))],
+        [-np.eye(2)],
     ],
-    ids=["nan", "inf", "ragged", "non-square"],
+    ids=["nan", "inf", "ragged", "non-square", "rank-2", "indefinite", "zero", "negative"],
 )
 def test_a_bad_projector_list_is_refused_before_the_eigensolver(monkeypatch, projectors):
     def forbidden(*args, **kwargs):

@@ -106,6 +106,25 @@ def test_a_stack_gives_each_state_its_single_verdict(d, monkeypatch):
             assert np.abs(verdict.certificate.coefficients - alone.certificate.coefficients).max() <= 1e-12
 
 
+@pytest.mark.parametrize("d", [6, 9])
+def test_a_list_built_stack_gives_each_state_its_single_verdict(d, monkeypatch):
+    # A system built from a projector list has no Weyl data: its candidate is
+    # pinv_gram @ h, per row, which the kernel step may repair. At d = 6, 9 of
+    # the 24 rows still run the active set, in one stacked loop; at d = 9, none.
+    system = hull_system(all_projectors(pure_kd_set(dft_pair(d)))[0])
+    assert system.weights is None and system.kernel.size
+    rhos = [rho for pair in zip(ginibre(d, 12), perturbed(d, range(12))) for rho in pair]
+    loop = LoopRows(monkeypatch)
+    stacked = hull_membership(np.array(rhos), system)
+    assert loop.rows == {6: [9], 9: []}[d]
+    for rho, verdict in zip(rhos, stacked):
+        alone = hull_membership(rho, system)
+        assert verdict.member == alone.member
+        assert verdict.distance == alone.distance
+        if alone.member:
+            assert np.array_equal(verdict.certificate.coefficients, alone.certificate.coefficients)
+
+
 class SolverResults:
     """Records the x of every solve hull_membership makes."""
 
@@ -113,8 +132,8 @@ class SolverResults:
         self.x = []
         real = geometry.simplex_least_squares
 
-        def recorded(gram, h, max_iter=None, candidate=None):
-            x = real(gram, h, max_iter, candidate)
+        def recorded(gram, h, max_iter=None, candidate=None, kernel=None):
+            x = real(gram, h, max_iter, candidate, kernel)
             self.x.append(x)
             return x
 
@@ -244,8 +263,8 @@ def test_a_failed_row_is_none_and_the_probe_counts_it_alone(monkeypatch):
     assert np.count_nonzero(need > cap) == 1
     real = geometry.simplex_least_squares
 
-    def capped(gram, h, max_iter=None, candidate=None):
-        return real(gram, h, cap, candidate)
+    def capped(gram, h, max_iter=None, candidate=None, kernel=None):
+        return real(gram, h, cap, candidate, kernel)
 
     monkeypatch.setattr(geometry, "simplex_least_squares", capped)
     verdicts = hull_membership(np.array(rhos), system)
@@ -286,12 +305,6 @@ def test_a_bad_state_in_a_stack_raises_what_it_raises_alone(kind):
     with pytest.raises(type(alone.value)) as stacked:
         hull_membership(stack if kind == "dimension" else np.array(stack), system)
     assert str(stacked.value) == str(alone.value)
-
-
-def test_a_stack_needs_a_system_built_from_families():
-    projectors, _ = all_projectors(pure_kd_set(dft_pair(6)))
-    with pytest.raises(ValueError, match="families"):
-        hull_membership(np.array(ginibre(6, 2)), projectors)
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (2, 0), (2, 1, 3)])

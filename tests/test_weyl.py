@@ -31,7 +31,7 @@ def family_system(d):
 
 
 def stacked(system):
-    """The stacked-real projector matrix that a family-built system does not keep, as a reference."""
+    """The stacked-real matrix of the system's projectors |psi_k><psi_k|, which no system keeps, as a reference."""
     return stack_real([np.outer(v, v.conj()) for v in system.states.T])
 
 
@@ -85,22 +85,23 @@ def test_min_norm_coefficients_and_off_span_distance_match_pinv_and_lstsq(d):
 def test_projector_list_system_has_no_weyl_data():
     projs = [p for fam in pure_kd_set(dft_pair(6)) for p in fam.projectors()]
     by_list, by_families = hull_system(projs), family_system(6)
-    assert by_list.states is None and by_list.weights is None
-    assert by_families.matrix is None and by_families.pinv_gram is None
-    matrix, states = stacked(by_families), by_families.states
-    assert np.array_equal(by_list.matrix, matrix)
-    # Each Gram is bit for bit its own formula: A^T A for the list, |V^H V|^2 for the families.
-    assert np.array_equal(by_list.gram, matrix.T @ matrix)
-    assert np.array_equal(by_families.gram, np.abs(states.conj().T @ states) ** 2)
-    # The two formulas round differently, so the two Grams cannot be equal bit for bit;
-    # here they differ by 3 ulps of 1 at most. The seeded verdicts they feed are pinned below.
+    assert by_list.weights is None and by_list.pinv_gram is not None
+    assert by_families.pinv_gram is None and by_families.kernel is None
+    # The list's state vectors give back its projectors; each is a family state up to a phase.
+    assert np.abs(stacked(by_list) - stack_real(projs)).max() <= 1e-15
+    overlaps = np.abs(np.einsum("ik,ik->k", by_list.states.conj(), by_families.states))
+    assert np.abs(overlaps - 1.0).max() <= 1e-15
+    # Both Grams are |V^H V|^2 bit for bit; the list's V differs from the
+    # families' by phases and rounding, so the Grams differ in the last bits.
+    for system in (by_list, by_families):
+        assert np.array_equal(system.gram, np.abs(system.states.conj().T @ system.states) ** 2)
     assert np.abs(by_list.gram - by_families.gram).max() <= 8 * np.finfo(float).eps
 
 
 def test_ginibre_d6_verdicts_are_those_of_the_stacked_gram():
     # The ginibre-d6 benchmark stream (seed 12721). Every sample is a non-member at the
-    # distance that the stacked Gram A^T A gives (the list-built system); the sum and the
-    # extremes were recorded when family-built systems still kept A and A^T A.
+    # same distance against the list-built and the family-built system; the sum and the
+    # extremes were recorded when hull systems still kept the stacked A and A^T A.
     by_list, by_families = list_system(6), family_system(6)
     distances = []
     for index in range(250):
@@ -142,11 +143,7 @@ def decided_state(system, d):
 
 def plain_distance(system, rho):
     """The distance of a solve without a candidate, computed as ``hull_membership`` computes it."""
-    if system.states is not None:
-        return system.residual(simplex_least_squares(system.gram, system.expectations(rho)), rho)
-    vec = stack_real([rho]).reshape(-1)
-    x = simplex_least_squares(system.gram, system.matrix.T @ vec)
-    return float(np.linalg.norm(system.matrix @ x - vec))
+    return system.residual(simplex_least_squares(system.gram, system.expectations(rho)), rho)
 
 
 def test_accepted_step_is_one_kkt_call_with_every_column_free(monkeypatch):
@@ -169,7 +166,7 @@ def test_accepted_step_is_one_kkt_call_with_every_column_free(monkeypatch):
 
 def null_vector(system):
     """A kernel vector of the stacked matrix, scaled to max-norm 1."""
-    _, sigma, vt = np.linalg.svd(stacked(system) if system.matrix is None else system.matrix)
+    _, sigma, vt = np.linalg.svd(stacked(system))
     v = vt[-1]
     assert sigma[-1] <= 1e-10 * sigma[0]
     return v / np.abs(v).max()
@@ -253,7 +250,7 @@ def test_list_candidate_is_the_lstsq_min_norm_solution(monkeypatch, d):
     recorder = CandidateRecorder(monkeypatch)
     for rho in states(d):
         vec = stack_real([rho]).reshape(-1)
-        want, *_ = np.linalg.lstsq(system.matrix, vec, rcond=None)
+        want, *_ = np.linalg.lstsq(stacked(system), vec, rcond=None)
         hull_membership(rho, system)
         assert np.abs(recorder.seen[-1] - want).max() <= 1e-12
 
@@ -269,6 +266,24 @@ def test_list_and_family_systems_give_the_same_verdicts(d):
         one, other = hull_membership(rho, by_list), hull_membership(rho, by_families)
         assert one.member == other.member
         assert abs(one.distance - other.distance) <= 1e-12
+
+
+def test_a_list_query_builds_no_stacked_matrix(monkeypatch):
+    # A list is turned into state vectors, and queried on the rank-one path
+    # alone, a state or a stack of them.
+    projectors, _ = all_projectors(pure_kd_set(dft_pair(9)))
+    rhos = states(9)
+    want = [hull_membership(rho, family_system(9)) for rho in rhos]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("stacked matrix or lstsq")
+
+    monkeypatch.setattr(geometry, "stack_real", forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    for rho, other, stacked_verdict in zip(rhos, want, hull_membership(np.array(rhos), projectors)):
+        one = hull_membership(rho, projectors)
+        assert one.member == other.member and abs(one.distance - other.distance) <= 1e-12
+        assert stacked_verdict.member == one.member and stacked_verdict.distance == one.distance
 
 
 @pytest.mark.parametrize("d", [6, 9, 12, 30])
@@ -307,19 +322,47 @@ def test_accepted_list_candidate_is_one_kkt_call(monkeypatch):
     assert verdict.certificate.coefficients.min() >= 0.0
 
 
-def test_negative_list_candidate_falls_back_to_the_plain_solver(monkeypatch):
-    system = list_system(6)
-    rho, x = decided_state(family_system(6), 6)
-    h = system.matrix.T @ stack_real([rho]).reshape(-1)
-    # pinv_gram @ h becomes x + t v, v in the kernel: still stationary and
-    # summing to one, so only the sign check can catch it.
+def negative_list_candidate(system, d=6):
+    """A decided state, and a ``pinv_gram`` that makes its list candidate x + t v, v in ker G.
+
+    The bad candidate is still stationary and sums to one: only the sign
+    check catches it, and the kernel step, which moves within x + ker G, can
+    move it back.
+    """
+    rho, x = decided_state(family_system(d), d)
+    h = system.expectations(rho)
     v = null_vector(system)
-    bad = system.pinv_gram + np.outer(1.5 * x.max() * v, h) / (h @ h)
-    assert (bad @ h).min() < -1e-6 and abs((bad @ h).sum() - 1.0) <= 1e-12
+    bad = system.pinv_gram + np.outer(h, 1.5 * x.max() * v) / (h @ h)  # the candidate is h @ pinv_gram
+    assert (h @ bad).min() < -1e-6 and abs((h @ bad).sum() - 1.0) <= 1e-12
+    return rho, bad
+
+
+def test_negative_list_candidate_falls_back_to_the_plain_solver(monkeypatch):
+    # With no kernel, nothing but the active set can move the candidate.
+    system = list_system(6)
+    rho, bad = negative_list_candidate(system)
     counter = StepCounter(monkeypatch)
-    verdict = hull_membership(rho, dataclasses.replace(system, pinv_gram=bad))
+    verdict = hull_membership(rho, dataclasses.replace(system, pinv_gram=bad, kernel=None))
     assert counter.calls > 2
     assert verdict.distance == plain_distance(system, rho)
+
+
+def test_negative_list_candidate_is_repaired_by_the_kernel_step(monkeypatch):
+    system = list_system(6)
+    rho, bad = negative_list_candidate(system)
+    reference = plain_distance(system, rho)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the active set ran")
+
+    monkeypatch.setattr(solver, "_active_set", forbidden)
+    monkeypatch.setattr(solver, "_active_set_stack", forbidden)
+    counter = StepCounter(monkeypatch)
+    verdict = hull_membership(rho, dataclasses.replace(system, pinv_gram=bad))
+    assert counter.calls == 1  # the candidate's KKT step; the repair makes none
+    assert verdict.member and abs(verdict.distance - reference) <= 1e-14
+    coefficients = verdict.certificate.coefficients
+    assert coefficients.min() >= 0.0 and abs(coefficients.sum() - 1.0) <= 1e-12
 
 
 def test_list_whose_span_lacks_the_identity_falls_back(monkeypatch):
