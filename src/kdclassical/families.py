@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dft import BasisPair, basis_projector, dft_pair
+from .dft import BasisPair, dft_pair
 from .exceptions import BadDimension, BadFactorization, IndexOutOfRange, WrongFamilyKind
 
 
@@ -199,20 +199,19 @@ def all_projectors(families) -> tuple[list[np.ndarray], list[str]]:
     return projectors, labels
 
 
+def _resolution_gap(states: np.ndarray, basis: np.ndarray) -> float:
+    """Largest entry of sum_k |v_ck><v_ck| (states) minus the same sum over the basis, over classes c of two
+    (classes, members, d) stacks; the elementwise products of :meth:`PureFamily.projector`, added in member order."""
+    lhs, rhs = ((v[..., :, None] * v.conj()[..., None, :]).sum(axis=1) for v in (states, basis))
+    return float(np.abs(lhs - rhs).max())
+
+
 def family_identity_sums(family: PureFamily) -> FamilyIdentityReport:
     """Check the resolution identities tying a PSI/PHI family to the bases."""
     if family.label in ("A", "B"):
         raise WrongFamilyKind(f"family {family.label} is a basis set, not a PSI/PHI family")
-    pair = dft_pair(family.dim)
-    p, q = family.p, family.q
-    a_dev = 0.0
-    for m in range(p):
-        lhs = sum(family.projector(m, s) for s in range(q))
-        rhs = sum(basis_projector(pair, "a", k * p + m) for k in range(q))
-        a_dev = max(a_dev, float(np.abs(lhs - rhs).max()))
-    b_dev = 0.0
-    for s in range(q):
-        lhs = sum(family.projector(m, s) for m in range(p))
-        rhs = sum(basis_projector(pair, "b", l * q + s) for l in range(p))
-        b_dev = max(b_dev, float(np.abs(lhs - rhs).max()))
-    return FamilyIdentityReport(label=family.label, a_side_max_dev=a_dev, b_side_max_dev=b_dev)
+    d, p, q = family.dim, family.p, family.q
+    psi = family.states.T.reshape(p, q, d)  # [m, s]: member (m, s)
+    a = np.eye(d).reshape(q, p, d).swapaxes(0, 1)  # [m, k]: a_{kp+m}
+    b = dft_pair(d).transition.T.reshape(p, q, d).swapaxes(0, 1)  # [s, l]: b_{lq+s}
+    return FamilyIdentityReport(family.label, _resolution_gap(psi, a), _resolution_gap(psi.swapaxes(0, 1), b))

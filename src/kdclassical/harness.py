@@ -241,9 +241,9 @@ def stack_height(d: int, families: int | None = None) -> int:
 
 # The arrays each probe mode and command builds, as named in :func:`setup_bytes`.
 _SETUP_ARRAYS = {
-    "hull": ("states", "overlaps", "gram", "stack", "projectors"),
-    "perturb": ("states", "overlaps", "gram", "stack", "directions"),
-    "ginibre": ("states", "overlaps", "gram", "stack"),
+    "hull": ("states", "overlaps", "gram", "stack", "samples", "projectors"),
+    "perturb": ("states", "overlaps", "gram", "stack", "samples", "directions"),
+    "ginibre": ("states", "overlaps", "gram", "stack", "samples"),
     "member": ("states", "overlaps", "gram", "copies", "factor"),
     "span-rank": ("projectors", "flat"),
     "pure": ("json",),
@@ -264,6 +264,12 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
     - stack: the solver's factor buffers for one stack of
       :func:`stack_height` states at full width, n x (n + 2) reals each,
       and the narrower copy they last grew from;
+    - samples: per state of that stack, four d x d complex arrays (the
+      most alive at once among the state, its draw, its table's product
+      and values, its Weyl coefficients and its residual), one d x n
+      complex product (h's or the residual's), twelve n-vectors of reals
+      (h, the candidates, the coefficients, the solver's per-row arrays)
+      and 1.5 KB of Python objects (this stack's verdicts and the last's);
     - projectors: n d^2 complex, built as dense matrices;
     - directions: the 2d^2 x m traceless block, m being the real-table
       dimension, the SVD's left factor of the same shape, and the
@@ -280,19 +286,26 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
       as bytes: about 380 bytes as tracemalloc counts them).
 
     "verify" runs its checks one after another, so its estimate is the
-    largest of them: the real-table block of m columns with the dense
-    basis built from it (32 m d^2 bytes), and the perturb and hull probe
-    set-ups, which the round-trip and probe checks build.
+    largest of them: the real-table battery (the dense basis of m members,
+    held twice while it is stacked, and 200 drawn operators of 16 d^2 + 256
+    bytes each), the dimension triple, which runs at d <= 16 (the d^2 dense
+    parameter matrices, their table product and values, and as much again
+    for the temporaries and table objects beside them: 64 d^4 bytes), and
+    the perturb and hull probe set-ups, which the round-trip and probe
+    checks build.
     """
     n = d * (len(factorizations(d)) if families is None else families)
     m = kd_real_dimension(d)
     if command == "verify":
-        return max(32 * m * d * d, setup_bytes(d, "perturb"), setup_bytes(d, "hull"))
+        battery = 32 * m * d * d + 200 * (16 * d * d + 256)
+        return max(battery, 64 * d**4 if d <= 16 else 0, setup_bytes(d, "perturb"), setup_bytes(d, "hull"))
+    height = stack_height(d, families)
     sizes = {
         "states": n * d * 16 + d * d * 8,
         "overlaps": n * n * 16,
         "gram": n * n * 8,
-        "stack": stack_buffer_bytes(stack_height(d, families), n),
+        "stack": stack_buffer_bytes(height, n),
+        "samples": height * (64 * d * d + 16 * d * n + 96 * n + 1536),
         "projectors": n * d * d * 16,
         "directions": 2 * d * d * (3 * m - 1) * 8,
         "copies": 8 * n * d * 16,

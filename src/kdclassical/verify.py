@@ -18,7 +18,7 @@ import numpy as np
 
 from .dft import dft_pair
 from .engine import classicality, is_kd_real, kd_table, support_counts
-from .families import all_projectors, family_identity_sums, lettered_families, prime_pair, pure_kd_set
+from .families import all_projectors, factorizations, family_identity_sums, lettered_families, prime_pair, pure_kd_set
 from .geometry import decompose_p2, decompose_pq_three, hull_membership, hull_system, quadruple_conditions_p2
 from .harness import SampleConfig, perturbation_basis, probe_conjecture, sample_kd_boundary
 from .kdreal import b_side_condition, entry_partition, kd_real_basis, kd_real_condition, kd_real_dimension
@@ -123,7 +123,7 @@ def check_categories(d: int) -> CheckResult | None:
 def hermitian_sample_battery(d: int, n: int, seed: int = EQUIVALENCE_SEED):
     """Seeded Hermitian matrices: generic, exactly real-table, defective, b-built."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d,)))
-    basis = kd_real_basis(d)
+    basis = np.array(kd_real_basis(d))
     u = dft_pair(d).transition
     samples = []
     for index in range(n):
@@ -131,23 +131,18 @@ def hermitian_sample_battery(d: int, n: int, seed: int = EQUIVALENCE_SEED):
         if kind == 0:
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             samples.append((g + g.conj().T) / 2)
-        elif kind == 1:
-            coeffs = rng.standard_normal(len(basis))
-            samples.append(sum(c * b for c, b in zip(coeffs, basis)))
-        elif kind == 2:
-            coeffs = rng.standard_normal(len(basis))
-            f = sum(c * b for c, b in zip(coeffs, basis))
+            continue
+        f = np.tensordot(rng.standard_normal(len(basis)), basis, 1)
+        if kind == 2:
             # Bump one chain cell with step k < d/2: chains there have length
             # >= 3, so the single bump always breaks the equality condition.
             k = int(rng.integers(1, (d - 1) // 2 + 1))
             i = int(rng.integers(0, d))
             f[i, (i + k) % d] += 1e-3
             f[(i + k) % d, i] += 1e-3
-            samples.append(f)
-        else:
-            coeffs = rng.standard_normal(len(basis))
-            gb = sum(c * b for c, b in zip(coeffs, basis))
-            samples.append(u @ gb @ u.conj().T)
+        elif kind == 3:
+            f = u @ f @ u.conj().T
+        samples.append(f)
     return samples
 
 
@@ -172,30 +167,23 @@ def check_kd_real_equivalence(d: int, n: int = 200) -> CheckResult:
     )
 
 
-def hermitian_parameter_basis(d: int) -> list[np.ndarray]:
-    """Standard real basis of the Hermitian d x d matrices (d^2 elements)."""
-    basis = []
-    for i in range(d):
-        e = np.zeros((d, d), dtype=np.complex128)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            s = np.zeros((d, d), dtype=np.complex128)
-            s[i, j] = s[j, i] = 1.0
-            basis.append(s)
-            k = np.zeros((d, d), dtype=np.complex128)
-            k[i, j] = 1j
-            k[j, i] = -1j
-            basis.append(k)
+def hermitian_parameter_basis(d: int) -> np.ndarray:
+    """Standard real basis of the Hermitian d x d matrices as one (d^2, d, d) array: the diagonal
+    units, then per i < j in row-major order the symmetric unit and the i-weighted antisymmetric one."""
+    diag = np.arange(d)
+    i, j = np.triu_indices(d, 1)
+    sym = d + 2 * np.arange(len(i))
+    basis = np.zeros((d * d, d, d), dtype=np.complex128)
+    basis[diag, diag, diag] = 1.0
+    basis[sym, i, j] = basis[sym, j, i] = 1.0
+    basis[sym + 1, i, j], basis[sym + 1, j, i] = 1j, -1j
     return basis
 
 
 def imag_constraint_nullity(d: int) -> int:
     """dim of the Hermitian solutions of Im Q = 0, via the constraint rank."""
-    pair = dft_pair(d)
-    rows = [kd_table(h, pair).values.imag.reshape(-1) for h in hermitian_parameter_basis(d)]
-    sigma = np.linalg.svd(np.array(rows), compute_uv=False)
+    tables = kd_table(hermitian_parameter_basis(d), dft_pair(d))
+    sigma = np.linalg.svd(np.array([table.values.imag for table in tables]).reshape(d * d, -1), compute_uv=False)
     rank = int(np.count_nonzero(sigma > DEFAULT_TOL.rank_rel * sigma[0]))
     return d * d - rank
 
@@ -215,28 +203,20 @@ def check_dimension_triple(d: int) -> CheckResult:
 def check_pure_states(d: int) -> CheckResult:
     """Every enumerated member: classical table, n_a*n_b = d, d cells of 1/d."""
     pair = dft_pair(d)
-    bad = 0
-    total = 0
-    for fam in pure_kd_set(pair):
-        for k in range(fam.p * fam.q):
-            total += 1
-            table = kd_table(fam.projector(*divmod(k, fam.q)), pair)
-            re, im = table.values.real, table.values.imag
-            n_a, n_b = support_counts(fam.states[:, k], pair)
-            cells = int(np.count_nonzero(np.abs(table.values - 1.0 / d) <= 1e-12))
-            zeros = int(np.count_nonzero(np.abs(table.values) <= 1e-12))
-            good = (
-                re.min() >= -1e-12
-                and np.abs(im).max() <= 1e-12
-                and n_a * n_b == d
-                and cells == d
-                and zeros == d * d - d
-            )
-            bad += not good
+    good = []
+    for v in (fam.states.T for fam in pure_kd_set(pair)):  # one member per row
+        values = np.array([table.values for table in kd_table(v[:, :, None] * v.conj()[:, None, :], pair)])
+        good.extend(
+            (values.real.min(axis=(1, 2)) >= -1e-12)
+            & (np.abs(values.imag).max(axis=(1, 2)) <= 1e-12)
+            & np.equal([math.prod(support_counts(psi, pair)) for psi in v], d)
+            & (np.count_nonzero(np.abs(values - 1.0 / d) <= 1e-12, axis=(1, 2)) == d)
+            & (np.count_nonzero(np.abs(values) <= 1e-12, axis=(1, 2)) == d * d - d)
+        )
     return CheckResult(
         name=f"pure-state suite (d={d})",
-        passed=bad == 0,
-        detail=f"{total - bad}/{total} members pass",
+        passed=all(good),
+        detail=f"{np.count_nonzero(good)}/{len(good)} members pass",
     )
 
 
@@ -261,11 +241,17 @@ def check_marginals(d: int, n: int = 100) -> CheckResult:
     )
 
 
-def check_p2_roundtrip(d: int, n: int = 500) -> CheckResult:
-    """Perturbation samples at d = p^2: conditions, decomposition, membership."""
+def _prime_root(d: int) -> int | None:
+    """p when d = p^2 with p prime (two divisors), else None: the quadruple identities are the paper's theorem for a prime p only."""
     p = math.isqrt(d)
-    if p * p != d:
-        raise ValueError(f"d={d} is not a perfect square")
+    return p if p * p == d and len(factorizations(p)) == 2 else None
+
+
+def check_p2_roundtrip(d: int, n: int = 500) -> CheckResult:
+    """Perturbation samples at d = p^2, p prime: conditions, decomposition, membership."""
+    p = _prime_root(d)
+    if p is None:
+        raise ValueError(f"d={d} is not the square of a prime")
     pair = dft_pair(d)
     system = hull_system(pure_kd_set(pair))
     basis = perturbation_basis(None, pair)
@@ -386,8 +372,7 @@ def run_dimension_suite(d: int) -> list[CheckResult]:
         results.append(check_dimension_triple(d))
     results.append(check_pure_states(d))
     results.append(check_marginals(d))
-    p = math.isqrt(d)
-    if p * p == d and d > 1:
+    if _prime_root(d) is not None:
         results.append(check_p2_roundtrip(d, n=500 if d == 9 else 100))
     maybe = check_identity_resolutions(d)
     if maybe is not None:

@@ -304,6 +304,35 @@ def test_solver_failure_maps_to_exit_4(tmp_path, capsys, monkeypatch):
     assert "solver error" in capsys.readouterr().err
 
 
+def test_verify_runs_the_square_round_trip_only_at_prime_squares(capsys):
+    # The quadruple identities and decompose_p2 are the paper's theorem for d = p^2 with p prime.
+    assert run(["verify", "--d", "16"]) == 0
+    assert "round-trip" not in capsys.readouterr().out
+    for d in (4, 9, 25):
+        assert run(["verify", "--d", str(d)]) == 0
+        assert f"PASS  square-dimension round-trip (d={d}," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("d", [1, 12, 16, 36])
+def test_square_round_trip_refuses_a_dimension_that_is_not_a_prime_square(d):
+    from kdclassical.verify import check_p2_roundtrip
+
+    with pytest.raises(ValueError, match="square of a prime"):
+        check_p2_roundtrip(d, n=1)
+
+
+def test_decompose_p2_refuses_a_dimension_that_is_not_square(tmp_path, capsys):
+    state = write_state(tmp_path / "s.json", np.eye(6) / 6)
+    assert run(["decompose", "--state", state, "--mode", "p2"]) == 2
+    assert "not a perfect square" in capsys.readouterr().err
+
+
+def test_member_refuses_a_state_of_another_dimension(tmp_path, capsys):
+    state = write_state(tmp_path / "s.json", np.eye(6) / 6)
+    assert run(["member", "--state", state, "--d", "5"]) == 2
+    assert "--d says 5" in capsys.readouterr().err
+
+
 def test_verify_d9_passes(capsys):
     assert run(["verify", "--d", "9"]) == 0
     out = capsys.readouterr().out
@@ -457,6 +486,30 @@ def test_entry_point_estimate_covers_what_it_allocates(tmp_path, capsys, command
     finally:
         tracemalloc.stop()
     assert peak <= setup_bytes(d, command) <= 2 * peak
+
+
+@pytest.mark.parametrize(
+    "command, d",
+    [(mode, d) for mode in ("perturb", "hull", "ginibre") for d in (6, 9, 14, 15, 30)]
+    + [("verify", d) for d in (6, 9, 12, 14, 15, 16, 25)],
+)
+def test_probe_and_verify_estimates_cover_their_traced_peak(capsys, command, d):
+    # A probe draws two stacks, so that the first stack's verdicts are alive while the second is solved.
+    import tracemalloc
+
+    from kdclassical.harness import setup_bytes, stack_height
+
+    samples = ["--mode", command, "--samples", str(2 * stack_height(d)), "--seed", "12721"]
+    argv = ["verify", "--d", str(d)] if command == "verify" else ["probe", "--d", str(d), *samples]
+    assert run(argv) == 0  # first-call caches
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= setup_bytes(d, command)
 
 
 def member_states(d):

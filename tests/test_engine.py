@@ -164,6 +164,11 @@ def test_support_counts_requires_normalization():
         support_counts(np.array([1.0, 1.0]), dft_pair(2))
 
 
+def test_support_counts_refuses_a_vector_of_another_dimension():
+    with pytest.raises(MixedDimensions):
+        support_counts(np.array([1.0, 0.0, 0.0]), dft_pair(2))
+
+
 def test_pure_criterion_examples():
     pair9 = dft_pair(9)
     for m in range(3):

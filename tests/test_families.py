@@ -20,7 +20,7 @@ from kdclassical import (
     pure_kd_set,
     support_counts,
 )
-from kdclassical.families import family_states, lettered_families, prime_pair
+from kdclassical.families import PureFamily, family_states, lettered_families, prime_pair
 
 
 def test_factorizations():
@@ -161,6 +161,42 @@ def test_family_identity_reports(d):
         else:
             report = family_identity_sums(fam)
             assert report.max_dev <= 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 6, 9, 12, 15, 16])
+def test_identity_sums_equal_the_sums_of_dense_projectors(d):
+    # The reference adds one dense projector at a time; the stacked sums add the same products in the same order.
+    pair = dft_pair(d)
+    for fam in pure_kd_set(pair):
+        if fam.label in ("A", "B"):
+            continue
+        p, q = fam.p, fam.q
+        a_dev = max(
+            float(np.abs(sum(fam.projector(m, s) for s in range(q)) - sum(basis_projector(pair, "a", k * p + m) for k in range(q))).max())
+            for m in range(p)
+        )
+        b_dev = max(
+            float(np.abs(sum(fam.projector(m, s) for m in range(p)) - sum(basis_projector(pair, "b", l * q + s) for l in range(p))).max())
+            for s in range(q)
+        )
+        report = family_identity_sums(fam)
+        assert (report.a_side_max_dev, report.b_side_max_dev) == (a_dev, b_dev)
+
+
+def test_identity_sums_catch_swapped_members():
+    fam = build_family(dft_pair(6), 2, 3)
+
+    def swapped(j, k):
+        states = fam.states.copy()
+        states[:, [j, k]] = states[:, [k, j]]
+        return family_identity_sums(PureFamily(label=fam.label, dim=6, p=2, q=3, states=states))
+
+    # Members (0, 1) and (1, 1), columns 1 and 4, share their b-side class s = 1 but not their a-side class.
+    report = swapped(1, 4)
+    assert report.a_side_max_dev >= 0.1 and report.b_side_max_dev <= 1e-12 and report.max_dev >= 0.1
+    # Members (0, 1) and (0, 2) share their a-side class m = 0 but not their b-side class.
+    report = swapped(1, 2)
+    assert report.a_side_max_dev <= 1e-12 and report.b_side_max_dev >= 0.1
 
 
 def test_classicality_of_families_matches_engine():

@@ -316,6 +316,13 @@ def test_failed_solves_stay_out_of_worst_margin(tmp_path, monkeypatch):
     json.dumps(report.to_json(), allow_nan=False)
 
 
+def test_empty_bases_are_refused():
+    with pytest.raises(ValueError, match="nonempty"):
+        sample_hull_point(SampleConfig(d=4, seed=1, n_samples=1, mode="hull"), [])
+    with pytest.raises(ValueError, match="no members"):
+        traceless_real_table_directions([], 4)
+
+
 @pytest.mark.parametrize("d", [2, 6, 9, 12, 30])
 def test_setup_estimate_covers_the_built_arrays(d):
     pair = dft_pair(d)
@@ -340,7 +347,10 @@ def test_setup_estimate_covers_the_built_arrays(d):
     assert stack.k.tolist() == [n] * height and stack.b.shape == (height, n, n + 2)
     assert sizes[-1] <= STACK_BYTES or height == 1
     full_and_copy = sum(sizes[-2:])
-    built = system.states.nbytes + system.weights.nbytes + 3 * system.gram.nbytes + full_and_copy
+    # Per state of the stack: four d x d complex arrays, one d x n complex product, twelve n-vectors of reals and
+    # 1.5 KB of Python objects; tests/test_cli.py checks that the whole estimate covers the traced peak.
+    samples = height * (4 * np.zeros((d, d), dtype=complex).nbytes + system.states.nbytes + 12 * system.gram[0].nbytes + 1536)
+    built = system.states.nbytes + system.weights.nbytes + 3 * system.gram.nbytes + full_and_copy + samples
     assert setup_bytes(d, "ginibre") == built
     assert setup_bytes(d, "perturb") == built + 2 * block_bytes + directions.nbytes
     assert setup_bytes(d, "hull") == built + sum(p.nbytes for p in projectors)

@@ -17,7 +17,19 @@ from kdclassical import (
     real_span_rank,
     render_partition,
 )
-from kdclassical.verify import hermitian_sample_battery
+from kdclassical.verify import hermitian_parameter_basis, hermitian_sample_battery
+
+
+def totient(n: int) -> int:
+    """Euler's phi from the prime factors of n."""
+    phi, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            phi -= phi // p
+        p += 1
+    return phi - phi // rest if rest > 1 else phi
 
 
 def test_category_counts():
@@ -155,7 +167,33 @@ def test_dimension_closed_forms():
 
 @pytest.mark.parametrize("d", list(range(2, 33)))
 def test_dimension_equals_gcd_sum(d):
-    assert kd_real_dimension(d) == d + sum(math.gcd(k, d) for k in range(1, d))
+    # d + sum_{k<d} gcd(k, d) is sum_{k<=d} gcd(k, d), which Pillai's identity writes as sum_{e | d} e phi(d/e).
+    assert kd_real_dimension(d) == sum(e * totient(d // e) for e in range(1, d + 1) if d % e == 0)
+
+
+def test_partition_and_dimension_refuse_degenerate_dimensions():
+    with pytest.raises(ValueError, match="d >= 2"):
+        entry_partition(1)
+    with pytest.raises(ValueError, match="positive integer"):
+        kd_real_dimension(0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_hermitian_parameter_basis_keeps_the_member_order(d):
+    want = []
+    for i in range(d):
+        unit = np.zeros((d, d), dtype=complex)
+        unit[i, i] = 1.0
+        want.append(unit)
+    for i in range(d):
+        for j in range(i + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[i, j] = sym[j, i] = 1.0
+            anti = np.zeros((d, d), dtype=complex)
+            anti[i, j], anti[j, i] = 1j, -1j
+            want += [sym, anti]
+    basis = hermitian_parameter_basis(d)
+    assert basis.shape == (d * d, d, d) and np.array_equal(basis, np.array(want))
 
 
 @pytest.mark.parametrize("d", list(range(1, 61)))

@@ -127,6 +127,11 @@ def test_matrix_json_roundtrip_bit_identical():
     assert np.array_equal(matrix_from_json(doc), u)
 
 
+def test_matrix_from_json_refuses_dimension_zero():
+    with pytest.raises(ValueError, match=">= 1"):
+        matrix_from_json({"d": 0, "entries": []})
+
+
 def test_matrix_from_json_validation():
     with pytest.raises(ValueError):
         matrix_from_json({"d": 2, "entries": [[1, 0]]})
