@@ -10,6 +10,7 @@ from .dft import BasisPair, basis_projector, dft_pair
 from .engine import (
     ClassicalityVerdict,
     KDTable,
+    StackVerdict,
     classicality,
     is_kd_real,
     kd_table,

@@ -23,17 +23,22 @@ SUPPORT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class KDTable:
-    """Quasiprobability table of one operator, with its trace for bookkeeping."""
+    """Quasiprobability table of one operator, with its trace for bookkeeping.
+
+    The table of an (m, d, d) stack of operators is one KDTable too: its
+    values are the (m, d, d) stack of tables and its source_trace the (m,)
+    traces.
+    """
 
     dim: int
     values: np.ndarray
-    source_trace: float
+    source_trace: float | np.ndarray
 
     def row_sums(self) -> np.ndarray:
-        return self.values.sum(axis=1)
+        return self.values.sum(axis=-1)
 
     def col_sums(self) -> np.ndarray:
-        return self.values.sum(axis=0)
+        return self.values.sum(axis=-2)
 
 
 @dataclass(frozen=True)
@@ -52,38 +57,51 @@ class ClassicalityVerdict:
         }
 
 
-def kd_table(rho: np.ndarray, pair: BasisPair) -> KDTable | list[KDTable]:
-    """Table with values[i][j] = conj(U_ij) * (rho @ U)[i, j], or a list of m tables for an (m, d, d) stack.
+@dataclass(frozen=True)
+class StackVerdict:
+    """Classicality of each table of a stack, as (m,) arrays; the stack is classical when every table is."""
 
-    A stack is checked and multiplied at once; each table equals its state's own, its values a read-only view."""
+    each: np.ndarray
+    min_real: np.ndarray
+    max_imag_abs: np.ndarray
+
+    @property
+    def classical(self) -> bool:
+        return bool(self.each.all())
+
+
+def kd_table(rho: np.ndarray, pair: BasisPair) -> KDTable:
+    """Table with values[i][j] = conj(U_ij) * (rho @ U)[i, j], or the stacked table of an (m, d, d) stack.
+
+    A stack is checked and multiplied at once; each of its tables equals its state's own. The values are read-only."""
     a = require_hermitian(rho, INPUT_GATE_TOL, pair.dim)
     values = pair.transition.conj() * (a @ pair.transition)
     values.setflags(write=False)
-    if a.ndim == 2:
-        return KDTable(dim=pair.dim, values=values, source_trace=float(a.trace().real))
-    traces = a.trace(axis1=1, axis2=2).real.tolist()
-    return [KDTable(dim=pair.dim, values=v, source_trace=t) for v, t in zip(values, traces)]
+    traces = a.trace(axis1=-2, axis2=-1).real
+    return KDTable(dim=pair.dim, values=values, source_trace=float(traces) if a.ndim == 2 else traces)
 
 
-def classicality(table: KDTable, tol: Tolerances = DEFAULT_TOL) -> ClassicalityVerdict:
-    """Verdict on whether the table is entrywise real and nonnegative.
+def classicality(table: KDTable, tol: Tolerances = DEFAULT_TOL) -> ClassicalityVerdict | StackVerdict:
+    """Verdict on whether the table is entrywise real and nonnegative, or a :class:`StackVerdict` for a stacked table.
 
     The real part is bounded one-sidedly (>= -tol.classicality), the
     imaginary part two-sidedly. The witness is the lexicographically
-    smallest cell attaining the worst violation.
+    smallest cell attaining the worst violation; a stack's verdict carries
+    no witness.
     """
     re = table.values.real
     im_abs = np.abs(table.values.imag)
-    min_real = float(re.min())
-    max_imag_abs = float(im_abs.max())
-    classical = min_real >= -tol.classicality and max_imag_abs <= tol.classicality
+    min_real, max_imag_abs = re.min(axis=(-2, -1)), im_abs.max(axis=(-2, -1))
+    classical = (min_real >= -tol.classicality) & (max_imag_abs <= tol.classicality)
+    if re.ndim == 3:
+        return StackVerdict(each=classical, min_real=min_real, max_imag_abs=max_imag_abs)
     witness: tuple[int, int] | None = None
     if not classical:
         violation = np.maximum(-re, im_abs)
         flat = int(violation.argmax())  # first occurrence = lexicographically smallest
         witness = (flat // table.dim, flat % table.dim)
     return ClassicalityVerdict(
-        classical=classical, min_real=min_real, max_imag_abs=max_imag_abs, witness=witness
+        classical=bool(classical), min_real=float(min_real), max_imag_abs=float(max_imag_abs), witness=witness
     )
 
 

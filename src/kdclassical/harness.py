@@ -14,8 +14,20 @@ the basis pair, the family-built hull system
 vectors), the dense projectors in hull mode only and, in perturb mode, the
 traceless direction basis (:class:`PerturbationBasis`) from the closed-form
 block of the all-real-table space. Per sample only the draw and its verdict
-remain; the tables, the Ginibre products g g^H and the hull solves are made
-per stack of samples (:data:`STACK_BYTES`), each state getting what it gets alone.
+remain; the tables, their classicality, the Ginibre products g g^H and the
+hull solves are made per stack of samples (:data:`STACK_BYTES`), each state
+getting what it gets alone, and a stack's results are released before the
+next stack is drawn.
+
+Sample i of seed s is drawn from the generator
+``default_rng(SeedSequence(s, spawn_key=(i,)))`` would give, bit for bit.
+No SeedSequence is built per sample: numpy's SeedSequence hash, fixed by
+NEP 19, is computed for a whole block of indices at once on uint32 arrays
+(:func:`seed_words`), and one reused generator has its PCG64 state set to
+each index's in turn (:func:`_generators`). Every probe mode and the public
+single draws (:func:`sample_hull_point`, :func:`sample_kd_boundary`) take
+their generator from that one path, which checks its first index's words
+against numpy's own SeedSequence once per call.
 """
 
 from __future__ import annotations
@@ -24,7 +36,9 @@ import json
 import numbers
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +104,117 @@ class ProbeReport:
         }
 
 
-def _rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose stream
+# NEP 19 keeps fixed: the pool size, the hashmix and mix constants, and the
+# shift that folds a word's high half into its low half.
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (numpy's PCG_DEFAULT_MULTIPLIER_HIGH, _LOW).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M128 = (1 << 128) - 1
+
+# Indices whose seed words are hashed together, so that a call's hashing
+# holds a fixed amount of memory (a few hundred bytes per index) however
+# many samples it draws.
+SEED_BLOCK = 1024
+
+
+def _words32(n: int) -> list[int]:
+    """n as 32-bit words, least significant first, and [0] for 0, as SeedSequence takes an integer."""
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hashmix of a word, a Python int or a uint32 array: (the hashed word, the next hash constant)."""
+    after = const * mult & _M32
+    value = (value ^ const) * after & _M32
+    return value ^ value >> 16, after
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y; either may be a uint32 array."""
+    mixed = (_MIX_L * x & _M32) - (_MIX_R * y & _M32) & _M32
+    return mixed ^ mixed >> 16
+
+
+def seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, 4) uint64 words ``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)`` for i in [start, stop).
+
+    SeedSequence's own steps, in its order, with each index word a uint32
+    array over the indices (whose products wrap without a warning) and
+    every other word a Python int. The pool's four words hold the seed
+    alone, padded with zeros; the words past them, the seed's fifth and
+    later and then the index's, are mixed into all four. Indices with as
+    many words are hashed together.
+    """
+    seed, start, stop = int(seed), int(start), int(stop)  # numpy integers would warn on overflow
+    runs = []
+    while start < stop:
+        first = _words32(start)
+        end = min(stop, 1 << 32 * len(first))  # past the last index with as many words
+        carry, words = np.arange(end - start, dtype=np.uint64), []
+        for word in first:  # start + offset, one 32-bit word at a time
+            total = carry + word
+            words.append((total & _M32).astype(np.uint32))
+            carry = total >> 32
+        entropy = _words32(seed)
+        entropy += [0] * (_POOL - len(entropy)) + words
+        const, pool = _INIT_A, []
+        for word in entropy[:_POOL]:
+            value, const = _hashmix(word, const)
+            pool.append(value)
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    value, const = _hashmix(pool[src], const)
+                    pool[dst] = _mix(pool[dst], value)
+        for word in entropy[_POOL:]:
+            for dst in range(_POOL):
+                value, const = _hashmix(word, const)
+                pool[dst] = _mix(pool[dst], value)
+        const, out = _INIT_B, []
+        for k in range(2 * _POOL):  # generate_state(4, np.uint64): eight 32-bit words, little-endian pairs
+            value, const = _hashmix(pool[k % _POOL], const, _MULT_B)
+            out.append(value)
+        runs.append(np.stack(out, axis=1).astype("<u4").view("<u8"))
+        start = end
+    return np.concatenate(runs).astype(np.uint64)
+
+
+def _generators(seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
+    """For each i in [start, stop), a generator in the state ``default_rng(SeedSequence(seed, spawn_key=(i,)))`` starts in.
+
+    It is one generator, reused: each is drawn from before the next is
+    taken. Its PCG64 state is set from the index's :func:`seed_words`
+    (initstate, then initseq, as two 128-bit halves) as PCG64 seeds itself,
+    inc = 2 initseq + 1 and state = (inc + initstate) MULT + inc mod 2^128,
+    with no buffered 32-bit half. The words are hashed :data:`SEED_BLOCK`
+    indices at a time, and the first index's are checked against numpy's
+    own SeedSequence: a numpy whose hash differs raises rather than change
+    the draws.
+    """
+    if start >= stop:
+        return
+    reference = np.random.SeedSequence(seed, spawn_key=(start,)).generate_state(4, np.uint64)
+    # A single draw takes numpy's words as they are: hashing them again would only be checked against them.
+    words = reference[None] if stop - start == 1 else seed_words(seed, start, min(stop, start + SEED_BLOCK))
+    if not np.array_equal(words[0], reference):
+        raise RuntimeError(f"numpy's SeedSequence no longer hashes seed {seed}, index {start} as harness.seed_words does")
+    rng = np.random.Generator(np.random.PCG64(0))  # a fixed seed: PCG64() would read OS entropy
+    bits = rng.bit_generator
+    for first in range(start, stop, SEED_BLOCK):
+        if first != start:
+            words = seed_words(seed, first, min(stop, first + SEED_BLOCK))
+        for state_high, state_low, seq_high, seq_low in words.tolist():
+            inc = ((seq_high << 64 | seq_low) << 1 | 1) & _M128
+            state = ((inc + (state_high << 64 | state_low)) * _PCG_MULT + inc) & _M128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+            yield rng
 
 
 def _simplex_mixture(rng: np.random.Generator, projectors) -> np.ndarray:
@@ -106,7 +229,7 @@ def sample_hull_point(config: SampleConfig, projectors, index: int = 0) -> np.nd
     """One flat-simplex mixture of the projector list; always a density matrix."""
     if not projectors:
         raise ValueError("projector list must be nonempty")
-    return _simplex_mixture(_rng(config.seed, index), projectors)
+    return _simplex_mixture(next(_generators(config.seed, index, index + 1)), projectors)
 
 
 # Singular values of a traceless block at or below this fraction of the
@@ -197,10 +320,14 @@ def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndar
     basis = f_basis if isinstance(f_basis, PerturbationBasis) else perturbation_basis(f_basis, dft_pair(d))
     if basis.pair.dim != d:
         raise BadDimension(f"perturbation basis has dimension {basis.pair.dim}, config says {d}")
-    directions = basis.directions
-    if directions.shape[1] == 0:
+    if basis.directions.shape[1] == 0:
         raise ZeroDirection("basis has no traceless component")
-    rng = _rng(config.seed, index)
+    return _boundary_draw(next(_generators(config.seed, index, index + 1)), basis)
+
+
+def _boundary_draw(rng: np.random.Generator, basis: PerturbationBasis) -> np.ndarray:
+    """The line-perturbation sample of :func:`sample_kd_boundary`, from a generator in its index's state."""
+    d, directions = basis.pair.dim, basis.directions
     coeffs = rng.standard_normal(directions.shape[1])
     f = _matrix_from_stacked(directions @ coeffs, d)
     f = (f + f.conj().T) / 2  # scrub roundoff from the stacked round trip
@@ -338,10 +465,6 @@ def _ginibre_states(rngs, d: int) -> np.ndarray:
     return rho / rho.trace(axis1=-2, axis2=-1).real[:, None, None]
 
 
-def _ginibre_state(rng: np.random.Generator, d: int) -> np.ndarray:
-    return _ginibre_states([rng], d)[0]
-
-
 def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) -> ProbeReport:
     """Classify seeded samples by classicality and hull membership.
 
@@ -376,22 +499,24 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
     candidates: list[tuple[int, np.ndarray, float]] = []
     start = time.perf_counter()
 
+    rngs = _generators(config.seed, 0, config.n_samples)
     height = stack_height(config.d)
     for first in range(0, config.n_samples, height):
         indices = range(first, min(first + height, config.n_samples))
+        draws = islice(rngs, len(indices))
         if config.mode == "hull":
-            states = np.array([_simplex_mixture(_rng(config.seed, index), projectors) for index in indices])
-        elif config.mode == "perturb":  # each draw seeds its own generator
-            states = np.array([sample_kd_boundary(config, directions, index=index) for index in indices])
+            states = np.array([_simplex_mixture(rng, projectors) for rng in draws])
+        elif config.mode == "perturb":
+            states = np.array([_boundary_draw(rng, directions) for rng in draws])
         else:
-            states = _ginibre_states([_rng(config.seed, index) for index in indices], config.d)
-        verdicts = [classicality(table, tol) for table in kd_table(states, pair)]
+            states = _ginibre_states(draws, config.d)
+        classical = classicality(kd_table(states, pair), tol).each.tolist()
 
         memberships = hull_membership(states, system, tol)
-        for index, rho, verdict, membership in zip(indices, states, verdicts, memberships):
+        for index, rho, is_classical, membership in zip(indices, states, classical, memberships):
             if membership is None:
                 solver_failures += 1
-            if not verdict.classical:
+            if not is_classical:
                 counts["not_classical"] += 1
             elif membership is not None and membership.member:
                 counts["classical_and_member"] += 1
@@ -400,7 +525,9 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
                 if membership is not None:
                     worst_margin = max(worst_margin, membership.distance)
                     if membership.distance > 10 * tol.recon:
-                        candidates.append((index, rho, membership.distance))
+                        candidates.append((index, rho.copy(), membership.distance))  # not a view that keeps the stack
+        # This stack's states and verdicts go before the next stack is drawn.
+        del states, classical, memberships, rho, membership
 
     files: list[str] = []
     if out_dir is not None and candidates:

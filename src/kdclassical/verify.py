@@ -121,16 +121,15 @@ def check_categories(d: int) -> CheckResult | None:
 
 
 def hermitian_sample_battery(d: int, n: int, seed: int = EQUIVALENCE_SEED):
-    """Seeded Hermitian matrices: generic, exactly real-table, defective, b-built."""
+    """Yield n seeded Hermitian matrices one at a time: generic, exactly real-table, defective, b-built."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d,)))
     basis = np.array(kd_real_basis(d))
     u = dft_pair(d).transition
-    samples = []
     for index in range(n):
         kind = index % 4
         if kind == 0:
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            samples.append((g + g.conj().T) / 2)
+            yield (g + g.conj().T) / 2
             continue
         f = np.tensordot(rng.standard_normal(len(basis)), basis, 1)
         if kind == 2:
@@ -142,8 +141,7 @@ def hermitian_sample_battery(d: int, n: int, seed: int = EQUIVALENCE_SEED):
             f[(i + k) % d, i] += 1e-3
         elif kind == 3:
             f = u @ f @ u.conj().T
-        samples.append(f)
-    return samples
+        yield f
 
 
 def check_kd_real_equivalence(d: int, n: int = 200) -> CheckResult:
@@ -182,8 +180,8 @@ def hermitian_parameter_basis(d: int) -> np.ndarray:
 
 def imag_constraint_nullity(d: int) -> int:
     """dim of the Hermitian solutions of Im Q = 0, via the constraint rank."""
-    tables = kd_table(hermitian_parameter_basis(d), dft_pair(d))
-    sigma = np.linalg.svd(np.array([table.values.imag for table in tables]).reshape(d * d, -1), compute_uv=False)
+    values = kd_table(hermitian_parameter_basis(d), dft_pair(d)).values
+    sigma = np.linalg.svd(values.imag.reshape(d * d, -1), compute_uv=False)
     rank = int(np.count_nonzero(sigma > DEFAULT_TOL.rank_rel * sigma[0]))
     return d * d - rank
 
@@ -205,7 +203,7 @@ def check_pure_states(d: int) -> CheckResult:
     pair = dft_pair(d)
     good = []
     for v in (fam.states.T for fam in pure_kd_set(pair)):  # one member per row
-        values = np.array([table.values for table in kd_table(v[:, :, None] * v.conj()[:, None, :], pair)])
+        values = kd_table(v[:, :, None] * v.conj()[:, None, :], pair).values
         good.extend(
             (values.real.min(axis=(1, 2)) >= -1e-12)
             & (np.abs(values.imag).max(axis=(1, 2)) <= 1e-12)

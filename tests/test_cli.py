@@ -26,7 +26,7 @@ from kdclassical import (
 )
 from kdclassical.cli import run
 from kdclassical.families import all_projectors, lettered_families
-from kdclassical.harness import _ginibre_state, _rng
+from kdclassical.harness import _generators, _ginibre_states
 
 
 def write_state(path, matrix):
@@ -520,7 +520,7 @@ def member_states(d):
     return (
         [np.eye(d, dtype=complex) / d]
         + [sample_kd_boundary(config, basis, index=i) for i in indices]
-        + [_ginibre_state(_rng(5, i), d) for i in range(2)]
+        + list(_ginibre_states(_generators(5, 0, 2), d))
     )
 
 

@@ -8,6 +8,7 @@ from kdclassical import (
     MixedDimensions,
     NotHermitian,
     NotNormalized,
+    StackVerdict,
     Tolerances,
     basis_projector,
     build_family,
@@ -143,6 +144,23 @@ def test_classicality_respects_tolerances():
     table = KDTable(dim=2, values=values, source_trace=1.0)
     assert not classicality(table).classical
     assert classicality(table, Tolerances(classicality=1e-2)).classical
+
+
+@pytest.mark.parametrize("tol", [Tolerances(), Tolerances(classicality=0.05)])
+def test_a_stacked_table_gets_each_verdict_it_gets_alone(tol):
+    pair = dft_pair(4)
+    psi = np.array([1.0, 1.0, 1.0, -1.0]) / 2  # full support in both bases: not classical
+    near = 0.62 * np.eye(4) / 4 + 0.38 * np.outer(psi, psi.conj())  # classical only at the looser tolerance
+    states = np.array([np.eye(4) / 4, np.outer(psi, psi.conj()), near, basis_projector(pair, "b", 2)])
+    stacked = classicality(kd_table(states, pair), tol)
+    alone = [classicality(kd_table(rho, pair), tol) for rho in states]
+    assert isinstance(stacked, StackVerdict)
+    assert stacked.each.tolist() == [v.classical for v in alone]
+    assert stacked.min_real.tolist() == [v.min_real for v in alone]
+    assert stacked.max_imag_abs.tolist() == [v.max_imag_abs for v in alone]
+    assert stacked.each.tolist() == [True, False, tol.classicality > 0.01, True]
+    assert stacked.classical == all(v.classical for v in alone)
+    assert classicality(kd_table(states[[0, 3]], pair), tol).classical
 
 
 def test_support_counts_examples():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from kdclassical import (
     real_span_rank,
     render_partition,
 )
-from kdclassical.verify import hermitian_parameter_basis, hermitian_sample_battery
+from kdclassical.verify import EQUIVALENCE_SEED, hermitian_parameter_basis, hermitian_sample_battery
 
 
 def totient(n: int) -> int:
@@ -153,6 +154,37 @@ def test_three_way_equivalence(d):
         assert is_kd_real(f, pair) == expected
         assert kd_real_condition(f, 1e-9) == expected
         assert b_side_condition(f, pair, 1e-9) == expected
+
+
+def listed_battery(d, n, seed=EQUIVALENCE_SEED):
+    """The battery as a list, drawn in the order the battery draws (kinds 0-3: generic, real-table, bumped, b-built)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(d,)))
+    basis = np.array(kd_real_basis(d))
+    u = dft_pair(d).transition
+    samples = []
+    for index in range(n):
+        if index % 4 == 0:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            samples.append((g + g.conj().T) / 2)
+            continue
+        f = np.tensordot(rng.standard_normal(len(basis)), basis, 1)
+        if index % 4 == 2:
+            k, i = int(rng.integers(1, (d - 1) // 2 + 1)), int(rng.integers(0, d))
+            f[i, (i + k) % d] += 1e-3
+            f[(i + k) % d, i] += 1e-3
+        elif index % 4 == 3:
+            f = u @ f @ u.conj().T
+        samples.append(f)
+    return samples
+
+
+def test_battery_yields_the_listed_operators_one_at_a_time():
+    battery = hermitian_sample_battery(6, 200)
+    assert inspect.isgenerator(battery)
+    assert next(hermitian_sample_battery(6, 10**12)).shape == (6, 6)  # nothing is drawn ahead
+    listed = listed_battery(6, 200)
+    for f, g in zip(battery, listed, strict=True):
+        assert np.array_equal(f, g)
 
 
 def test_dimension_closed_forms():

@@ -14,7 +14,7 @@ import pytest
 from kdclassical import SampleConfig, dft_pair, kd_real_basis, pure_kd_set, sample_kd_boundary, solver
 from kdclassical.families import all_projectors
 from kdclassical.geometry import hull_membership, hull_system
-from kdclassical.harness import _ginibre_state, _rng
+from kdclassical.harness import _generators, _ginibre_states
 from kdclassical.solver import _FEAS_TOL, _feasible_and_stationary_rows, _kernel_step, simplex_least_squares
 
 
@@ -112,7 +112,7 @@ def test_a_rank_deficient_pinned_set_terminates(monkeypatch):
     # whose kernel rows have rank 3, np.linalg.solve still returns, and the round
     # pins no new column, so a step without its stopping rules repeats it forever.
     system = list_system(9)
-    gram, h, candidate = problem(system, _ginibre_state(_rng(5, 0), 9))
+    gram, h, candidate = problem(system, _ginibre_states(_generators(5, 0, 1), 9)[0])
     calls = count_solves(monkeypatch)
     out = np.full(len(h), -1.0)
     assert not _kernel_step(gram, h, candidate, system.kernel, out)

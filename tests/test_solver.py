@@ -11,7 +11,7 @@ import kdclassical
 from kdclassical import dft_pair, pure_kd_set
 from kdclassical.families import all_projectors
 from kdclassical.geometry import hull_membership, hull_system, stack_real
-from kdclassical.harness import _ginibre_state, _rng, perturbation_basis
+from kdclassical.harness import _generators, _ginibre_states, perturbation_basis
 from kdclassical import solver
 from kdclassical.solver import _DUAL_TOL, _FEAS_TOL, _FreeSetFactor, _grad_bound, _solve_free, simplex_least_squares
 
@@ -312,7 +312,7 @@ def test_downdate_after_drops_is_the_factor_of_the_smaller_free_set(positions):
 def seeded_states(kind, n):
     """The seed-12721 states of the benchmark's ginibre-d6, perturb-d6 and certify-d9 workloads, with their dimension."""
     if kind == "ginibre-d6":
-        return 6, [_ginibre_state(_rng(12721, i), 6) for i in range(n)]
+        return 6, list(_ginibre_states(_generators(12721, 0, n), 6))
     d = 6 if kind == "perturb-d6" else 9
     config = kdclassical.SampleConfig(d=d, seed=12721, n_samples=n, mode="perturb")
     basis = perturbation_basis(None, dft_pair(d))

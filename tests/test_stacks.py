@@ -30,7 +30,7 @@ from kdclassical import (
 )
 from kdclassical.families import all_projectors
 from kdclassical.geometry import hull_system, weyl_coefficients
-from kdclassical.harness import _ginibre_state, _ginibre_states, _rng, perturbation_basis, setup_bytes, stack_height
+from kdclassical.harness import _generators, _ginibre_states, perturbation_basis, setup_bytes, stack_height
 from kdclassical.linalg import matrix_to_json
 from kdclassical.solver import _FEAS_TOL, _MIN_STACK, _FreeSetFactor, _FreeSetStack, _solve_free, simplex_least_squares
 
@@ -40,7 +40,7 @@ def family_system(d):
 
 
 def ginibre(d, n, seed=12721):
-    return [_ginibre_state(_rng(seed, i), d) for i in range(n)]
+    return list(_ginibre_states(_generators(seed, 0, n), d))
 
 
 def perturbed(d, indices, seed=12721):
@@ -326,13 +326,13 @@ def test_stack_heights_from_the_byte_budget():
 @pytest.mark.parametrize("d", [2, 6, 9, 12, 30])
 def test_a_stack_of_states_gets_each_table_it_gets_alone(d):
     pair = dft_pair(d)
-    states = _ginibre_states([_rng(12721, i) for i in range(5)], d)
+    states = _ginibre_states(_generators(12721, 0, 5), d)
     tables = kd_table(states, pair)
-    assert len(tables) == len(states)
-    for rho, table in zip(states, tables):
+    assert tables.values.shape == states.shape and tables.source_trace.shape == (len(states),)
+    assert tables.dim == d and not tables.values.flags.writeable
+    for rho, values, trace in zip(states, tables.values, tables.source_trace):
         alone = kd_table(rho, pair)
-        assert np.array_equal(table.values, alone.values) and table.source_trace == alone.source_trace
-        assert table.dim == d and not table.values.flags.writeable
+        assert np.array_equal(values, alone.values) and trace == alone.source_trace
     with pytest.raises(NotHermitian):  # one bad state fails the whole stack, as it fails alone
         kd_table(np.concatenate([states, 1j * states[:1]]), pair)
 
@@ -341,12 +341,12 @@ def test_a_stack_of_states_gets_each_table_it_gets_alone(d):
 def test_ginibre_draws_in_a_stack_are_the_single_draws(d):
     # The seeded draw of each index, g g^H / tr with g = N + iN' from its own
     # generator, as the benchmark re-derives it.
-    stack = _ginibre_states([_rng(12721, i) for i in range(8)], d)
+    stack = _ginibre_states(_generators(12721, 0, 8), d)
     for i, rho in enumerate(stack):
-        rng = _rng(12721, i)
+        rng = np.random.default_rng(np.random.SeedSequence(12721, spawn_key=(i,)))
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         assert np.array_equal(rho, (g @ g.conj().T) / (g @ g.conj().T).trace().real)
-        assert np.array_equal(rho, _ginibre_state(_rng(12721, i), d))
+        assert np.array_equal(rho, _ginibre_states(_generators(12721, i, i + 1), d)[0])
 
 
 def assert_rows_zero_past_their_diagonal(b):

@@ -22,7 +22,7 @@ from kdclassical.geometry import (
     stack_real,
     weyl_coefficients,
 )
-from kdclassical.harness import _ginibre_state, _rng
+from kdclassical.harness import _generators, _ginibre_states
 from kdclassical.solver import simplex_least_squares
 
 
@@ -39,9 +39,7 @@ def states(d, n=3):
     """n perturbation states (in the span) and n Ginibre states (off it)."""
     config = SampleConfig(d=d, seed=5, n_samples=n, mode="perturb")
     basis = kd_real_basis(d)
-    return [sample_kd_boundary(config, basis, index=i) for i in range(n)] + [
-        _ginibre_state(_rng(5, i), d) for i in range(n)
-    ]
+    return [sample_kd_boundary(config, basis, index=i) for i in range(n)] + list(_ginibre_states(_generators(5, 0, n), d))
 
 
 @pytest.mark.parametrize("d", [4, 6, 9, 12, 30])
@@ -104,8 +102,7 @@ def test_ginibre_d6_verdicts_are_those_of_the_stacked_gram():
     # extremes were recorded when hull systems still kept the stacked A and A^T A.
     by_list, by_families = list_system(6), family_system(6)
     distances = []
-    for index in range(250):
-        rho = _ginibre_state(_rng(12721, index), 6)
+    for rho in _ginibre_states(_generators(12721, 0, 250), 6):
         one, other = hull_membership(rho, by_list), hull_membership(rho, by_families)
         assert not one.member and not other.member
         assert abs(one.distance - other.distance) <= 1e-12
