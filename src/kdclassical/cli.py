@@ -70,64 +70,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"kd {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("dft", help="write the transition matrix of one dimension")
+    sp = sub.add_parser("dft", parents=[common], help="write the transition matrix of one dimension")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("table", help="quasiprobability table of a state, as CSV")
+    sp = sub.add_parser("table", parents=[common], help="quasiprobability table of a state, as CSV")
     sp.add_argument("--state", required=True)
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--csv", default=None)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("check", help="classicality verdict of a state, as JSON")
+    sp = sub.add_parser("check", parents=[common], help="classicality verdict of a state, as JSON")
     sp.add_argument("--state", required=True)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("pure", help="write every classical pure-state family")
+    sp = sub.add_parser("pure", parents=[common], help="write every classical pure-state family")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("categories", help="entry partition of the real-table space")
+    sp = sub.add_parser("categories", parents=[common], help="entry partition of the real-table space")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--render", action="store_true")
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("real-dim", help="dimension of the real-table operator space")
+    sp = sub.add_parser("real-dim", parents=[common], help="dimension of the real-table operator space")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("span-rank", help="real span rank of chosen families")
+    sp = sub.add_parser("span-rank", parents=[common], help="real span rank of chosen families")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--sets", default=None, help="subset of ABCD, default all families")
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("decompose", help="constructive convex decomposition")
+    sp = sub.add_parser("decompose", parents=[common], help="constructive convex decomposition")
     sp.add_argument("--state", required=True)
     sp.add_argument("--mode", choices=("p2", "pq3"), required=True)
     sp.add_argument("--sets", default="BCD", help="three of ABCD for pq3 mode")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("member", help="hull membership against all families")
+    sp = sub.add_parser("member", parents=[common], help="hull membership against all families")
     sp.add_argument("--state", required=True)
     sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("probe", help="seeded conjecture probe")
+    sp = sub.add_parser("probe", parents=[common], help="seeded conjecture probe")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--mode", choices=MODES, required=True)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("verify", help="run the acceptance checks for one dimension")
+    sp = sub.add_parser("verify", parents=[common], help="run the acceptance checks for one dimension")
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--json", action="store_true")
 
     return parser
 
@@ -149,17 +140,8 @@ def _cmd_table(args) -> int:
         raise ValidationError(f"state has dimension {d}, --d says {args.d}")
     table = kd_table(rho, dft_pair(d))
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "d": d,
-                    "source_trace": table.source_trace,
-                    "values": [
-                        [float(z.real), float(z.imag)] for z in table.values.reshape(-1)
-                    ],
-                }
-            )
-        )
+        values = matrix_to_json(table.values)["entries"]
+        print(json.dumps({"d": d, "source_trace": table.source_trace, "values": values}))
         return EXIT_OK
     lines = ["i,j,re,im"]
     for i in range(d):

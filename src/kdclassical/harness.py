@@ -358,11 +358,9 @@ def _boundary_draw(rng: np.random.Generator, basis: PerturbationBasis) -> np.nda
 STACK_BYTES = 768 * 1024
 
 
-def stack_height(d: int, families: int | None = None) -> int:
-    """States per stack of a probe at dimension d, from :data:`STACK_BYTES` (n as in :func:`setup_bytes`)."""
-    if families is not None and families < 1:  # setup_bytes sizes its stack here, so it raises too
-        raise ValueError(f"need at least one family, got {families}")
-    n = d * (len(factorizations(d)) if families is None else families)
+def stack_height(d: int) -> int:
+    """States per stack of a probe at dimension d, from :data:`STACK_BYTES`, over all n = d tau(d) projectors."""
+    n = d * len(factorizations(d))
     return max(1, STACK_BYTES // (n * (n + 2) * 8))
 
 
@@ -382,7 +380,7 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
 
     ``command`` is a probe mode ("hull", "perturb", "ginibre"), "member",
     "span-rank", "pure" or "verify". With n = d x ``families`` projectors
-    (all d tau(d) by default):
+    (all d tau(d) by default; only "span-rank" chooses fewer):
 
     - states: the d x n state vectors (complex) and the d x d Weyl weights
       of a family-built hull system;
@@ -396,7 +394,8 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
       and values, its Weyl coefficients and its residual), one d x n
       complex product (h's or the residual's), twelve n-vectors of reals
       (h, the candidates, the coefficients, the solver's per-row arrays)
-      and 1.5 KB of Python objects (this stack's verdicts and the last's);
+      and 768 bytes of Python objects (this stack's verdicts; the last
+      stack's are released before the next is drawn);
     - projectors: n d^2 complex, built as dense matrices;
     - directions: the 2d^2 x m traceless block, m being the real-table
       dimension, the SVD's left factor of the same shape, and the
@@ -414,25 +413,27 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
 
     "verify" runs its checks one after another, so its estimate is the
     largest of them: the real-table battery (the dense basis of m members,
-    held twice while it is stacked, and 200 drawn operators of 16 d^2 + 256
-    bytes each), the dimension triple, which runs at d <= 16 (the d^2 dense
-    parameter matrices, their table product and values, and as much again
-    for the temporaries and table objects beside them: 64 d^4 bytes), and
-    the perturb and hull probe set-ups, which the round-trip and probe
-    checks build.
+    held twice while it is stacked, and the one drawn operator of 16 d^2 +
+    256 bytes alive at a time), the dimension triple, which runs at
+    d <= 16 (the d^2 dense parameter matrices, their table product and
+    values, and as much again for the temporaries and table objects beside
+    them: 64 d^4 bytes), and the perturb and hull probe set-ups, which the
+    round-trip and probe checks build.
     """
+    if families is not None and families < 1:
+        raise ValueError(f"need at least one family, got {families}")
     n = d * (len(factorizations(d)) if families is None else families)
     m = kd_real_dimension(d)
     if command == "verify":
-        battery = 32 * m * d * d + 200 * (16 * d * d + 256)
+        battery = 32 * m * d * d + 16 * d * d + 256
         return max(battery, 64 * d**4 if d <= 16 else 0, setup_bytes(d, "perturb"), setup_bytes(d, "hull"))
-    height = stack_height(d, families)
+    height = stack_height(d)
     sizes = {
         "states": n * d * 16 + d * d * 8,
         "overlaps": n * n * 16,
         "gram": n * n * 8,
         "stack": stack_buffer_bytes(height, n),
-        "samples": height * (64 * d * d + 16 * d * n + 96 * n + 1536),
+        "samples": height * (64 * d * d + 16 * d * n + 96 * n + 768),
         "projectors": n * d * d * 16,
         "directions": 2 * d * d * (3 * m - 1) * 8,
         "copies": 8 * n * d * 16,

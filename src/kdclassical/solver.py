@@ -613,9 +613,10 @@ def _solve_free(
     ``candidate``, given with every column free, is the caller's closed-form
     min-norm solution and is the step as it stands, with nu = 0; the solver
     checks it before using it. ``factor`` is the solver's factor of this
-    free set; when it is valid and gives a finite step, that step is
-    returned. Otherwise the bordered KKT matrix is solved by least squares,
-    which gives its minimum-norm solution when it is singular.
+    free set, passed with ``free`` = ``factor.free``; when it is valid and
+    gives a finite step, that step is returned. Otherwise the bordered KKT
+    matrix is solved by least squares, which gives its minimum-norm
+    solution when it is singular.
 
     With a :class:`_FreeSetStack`, h holds its rows and ``free`` is its
     (K, m) :attr:`~_FreeSetStack.free`; the step is (m, K), zero past each
@@ -626,7 +627,7 @@ def _solve_free(
         return np.asarray(candidate, dtype=float), 0.0
     if isinstance(factor, _FreeSetStack):
         return factor.solve()
-    if factor is not None and factor.valid and factor.k == len(free):
+    if factor is not None and factor.valid:
         z, nu = factor.solve()
         if math.isfinite(nu) and math.isfinite(z @ z):  # finite only if every entry is; cheaper than z.sum()
             return z, nu

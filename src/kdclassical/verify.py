@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .dft import dft_pair
-from .engine import classicality, is_kd_real, kd_table, support_counts
+from .engine import is_kd_real, kd_table, support_counts
 from .families import all_projectors, factorizations, family_identity_sums, lettered_families, prime_pair, pure_kd_set
-from .geometry import decompose_p2, decompose_pq_three, hull_membership, hull_system, quadruple_conditions_p2
+from .exceptions import ConditionsFailed, NotClassical
+from .geometry import decompose_p2, decompose_pq_three, hull_membership, hull_system
 from .harness import SampleConfig, perturbation_basis, probe_conjecture, sample_kd_boundary
 from .kdreal import b_side_condition, entry_partition, kd_real_basis, kd_real_condition, kd_real_dimension
 from .linalg import DEFAULT_TOL, real_span_rank
@@ -151,8 +152,8 @@ def check_kd_real_equivalence(d: int, n: int = 200) -> CheckResult:
     wrong = 0
     for index, f in enumerate(hermitian_sample_battery(d, n)):
         via_table = is_kd_real(f, pair)
-        via_entries = kd_real_condition(f, 1e-9)
-        via_b = b_side_condition(f, pair, 1e-9)
+        via_entries = kd_real_condition(f)
+        via_b = b_side_condition(f, pair)
         if not via_table == via_entries == via_b:
             disagreements += 1
         expected = index % 4 in (1, 3)
@@ -258,14 +259,11 @@ def check_p2_roundtrip(d: int, n: int = 500) -> CheckResult:
     not_member = 0
     for index in range(n):
         rho = sample_kd_boundary(config, basis, index=index)
-        table = kd_table(rho, pair)
-        if not classicality(table).classical:
-            failures.append(f"sample {index} not classical")
+        try:  # decompose_p2 gates on classicality and the quadruple identities
+            cert = decompose_p2(rho, pair, p)
+        except (NotClassical, ConditionsFailed) as exc:
+            failures.append(f"sample {index}: {exc}")
             continue
-        if not quadruple_conditions_p2(table, p, 1e-9):
-            failures.append(f"sample {index} fails quadruple identities")
-            continue
-        cert = decompose_p2(rho, pair, p)
         membership = hull_membership(rho, system)
         if not membership.member:
             not_member += 1

@@ -281,7 +281,7 @@ def test_console_script_and_unknown_flag():
     assert proc.returncode == 2
 
 
-def test_every_subcommand_has_help():
+def test_every_subcommand_has_help(capsys):
     for name in (
         "dft", "table", "check", "pure", "categories", "real-dim",
         "span-rank", "decompose", "member", "probe", "verify",
@@ -289,6 +289,7 @@ def test_every_subcommand_has_help():
         with pytest.raises(SystemExit) as info:
             run([name, "--help"])
         assert info.value.code == 0
+        assert "--json" in capsys.readouterr().out, f"{name} --help does not list --json"
 
 
 def test_solver_failure_maps_to_exit_4(tmp_path, capsys, monkeypatch):
@@ -319,6 +320,27 @@ def test_square_round_trip_refuses_a_dimension_that_is_not_a_prime_square(d):
 
     with pytest.raises(ValueError, match="square of a prime"):
         check_p2_roundtrip(d, n=1)
+
+
+def test_square_round_trip_fails_with_the_reason_decompose_p2_gives(monkeypatch):
+    # One drawn sample is swapped for a Ginibre state, which is not KD classical: the round trip
+    # must fail on it and carry decompose_p2's own message, not a verdict of its own.
+    from kdclassical import verify
+    from kdclassical.exceptions import NotClassical
+    from kdclassical.geometry import decompose_p2
+
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    bad = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    with pytest.raises(NotClassical) as info:
+        decompose_p2(bad, dft_pair(4), 2)
+    draw = verify.sample_kd_boundary
+    monkeypatch.setattr(
+        verify, "sample_kd_boundary", lambda config, basis, index: bad if index == 1 else draw(config, basis, index=index)
+    )
+    result = verify.check_p2_roundtrip(4, n=3)
+    assert not result.passed
+    assert result.detail == f"1 failures, 0 classical-not-member; first: sample 1: {info.value}"
 
 
 def test_decompose_p2_refuses_a_dimension_that_is_not_square(tmp_path, capsys):
@@ -490,7 +512,7 @@ def test_entry_point_estimate_covers_what_it_allocates(tmp_path, capsys, command
 
 @pytest.mark.parametrize(
     "command, d",
-    [(mode, d) for mode in ("perturb", "hull", "ginibre") for d in (6, 9, 14, 15, 30)]
+    [(mode, d) for mode in ("perturb", "hull", "ginibre") for d in (2, 6, 9, 14, 15, 30)]
     + [("verify", d) for d in (6, 9, 12, 14, 15, 16, 25)],
 )
 def test_probe_and_verify_estimates_cover_their_traced_peak(capsys, command, d):
