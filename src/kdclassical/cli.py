@@ -124,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_dft(args) -> int:
+    require_memory(args.d, "dft")
     pair = dft_pair(args.d)
     _write_json(args.out, matrix_to_json(pair.transition))
     if args.json:
@@ -191,6 +192,7 @@ def _cmd_pure(args) -> int:
 
 
 def _cmd_categories(args) -> int:
+    require_memory(args.d, "categories")
     part = entry_partition(args.d)
     if args.render:
         print(render_partition(part))

@@ -28,10 +28,10 @@ from .linalg import DEFAULT_TOL, INPUT_GATE_TOL, Tolerances, _checked, as_matrix
 from .solver import simplex_least_squares
 
 # Gram eigenvalues at or below this fraction of the largest are taken as zero
-# in ``HullSystem.pinv_gram``. For the family lists the nonzero spectrum lies
-# in [1, tau(d)] and the zero eigenvalues come out at 5e-15 or less, so the
-# cutoff sits in a wide gap. A dropped eigenvalue that was not zero only
-# makes the min-norm step fail its stationarity check.
+# in ``HullSystem.pinv_gram`` and ``kernel``. For the family lists the nonzero
+# spectrum lies in [1, tau(d)] and the zero eigenvalues come out at 5e-15 or
+# less, so the cutoff sits in a wide gap. A dropped eigenvalue that was not
+# zero only makes the min-norm or kernel step fail its stationarity check.
 PINV_CUTOFF = 1e-10
 
 
@@ -82,21 +82,40 @@ class HullSystem:
     and q | b, so the frame operator S = sum_k |P_k><P_k| is diagonal in the
     Weyl basis with eigenvalue c(a, b) = #{families (p, q) : p | a, q | b}.
     That gives the distance of a state from the span and its min-norm
-    coefficients in closed form. Those need no Gram, and
-    :func:`decompose_pq_three`, which makes no hull query, builds its system
-    without one (``gram`` is None).
+    coefficients in closed form, with no Gram. One built from a projector
+    list has no Weyl data and maps h to the min-norm coefficients by
+    ``pinv_gram``, the pseudo-inverse of ``gram`` (:data:`PINV_CUTOFF`).
 
-    One built from a projector list has no Weyl data. It keeps ``pinv_gram``,
-    the pseudo-inverse of ``gram`` (:data:`PINV_CUTOFF`), which maps h to the
-    min-norm coefficients, and ``kernel``, the eigenvectors the cutoff drops,
-    an orthonormal basis of ker ``gram`` for the solver's kernel step.
+    ``gram``, ``pinv_gram`` and ``kernel``, the eigenvectors the cutoff
+    drops (an orthonormal basis of ker ``gram``, for the solver's kernel
+    step), are computed on first use and kept; the last two share one
+    ``eigh`` of the Gram.
     """
 
-    gram: np.ndarray | None
     states: np.ndarray
     weights: np.ndarray | None = None
-    pinv_gram: np.ndarray | None = None
-    kernel: np.ndarray | None = None
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        gram = np.abs(self.states.conj().T @ self.states)
+        gram *= gram  # in place: a second n x n array would raise the peak
+        return gram
+
+    @functools.cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Gram's eigenvalues above the cutoff, their eigenvectors, and the eigenvectors below it."""
+        eig, vecs = np.linalg.eigh(self.gram)
+        keep = eig > PINV_CUTOFF * eig[-1]
+        return eig[keep], vecs[:, keep], vecs[:, ~keep]
+
+    @functools.cached_property
+    def pinv_gram(self) -> np.ndarray:
+        eig, kept, _ = self._spectrum
+        return (kept / eig) @ kept.T
+
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        return self._spectrum[2]
 
     @property
     def dim(self) -> int:
@@ -140,19 +159,13 @@ def hull_system(source) -> HullSystem:
     No dense projector is kept. A list of finite d x d projectors gives
     psi_k = P_k[:, j] / sqrt(P_k[j, j]) at the largest diagonal entry j, and
     ValueError for a P_k that differs from psi_k psi_k^H by more than
-    :data:`~kdclassical.linalg.INPUT_GATE_TOL` in any real or imaginary part;
-    its ``pinv_gram`` and ``kernel`` come from one ``eigh`` of the Gram.
+    :data:`~kdclassical.linalg.INPUT_GATE_TOL` in any real or imaginary part.
     """
-    families = bool(len(source)) and isinstance(source[0], PureFamily)
-    states = np.hstack([fam.states for fam in source]) if families else _projector_states(source)
-    gram = np.abs(states.conj().T @ states)
-    gram *= gram
-    if families:
-        return HullSystem(gram=gram, states=states, weights=_weyl_weights(source))
-    eig, vecs = np.linalg.eigh(gram)
-    keep = eig > PINV_CUTOFF * eig[-1]
-    kept = vecs[:, keep]
-    return HullSystem(gram=gram, states=states, pinv_gram=(kept / eig[keep]) @ kept.T, kernel=vecs[:, ~keep])
+    if len(source) and isinstance(source[0], PureFamily):
+        c = frame_multiplicities(source)
+        weights = np.divide(1.0, c, out=np.zeros(c.shape), where=c > 0)  # 1/c(a, b), 0 where c = 0
+        return HullSystem(states=np.hstack([fam.states for fam in source]), weights=weights)
+    return HullSystem(states=_projector_states(source))
 
 
 def _projector_states(projectors) -> np.ndarray:
@@ -168,12 +181,6 @@ def _projector_states(projectors) -> np.ndarray:
     if dev > INPUT_GATE_TOL:
         raise ValueError(f"a projector deviates from rank one psi psi^H by {dev:.3e} (tol {INPUT_GATE_TOL:.1e})")
     return np.ascontiguousarray(psi.T)
-
-
-def _weyl_weights(families) -> np.ndarray:
-    """1/c(a, b) for the families' frame multiplicities c, 0 where c = 0."""
-    c = frame_multiplicities(families)
-    return np.divide(1.0, c, out=np.zeros(c.shape), where=c > 0)
 
 
 def frame_multiplicities(families) -> np.ndarray:
@@ -331,8 +338,7 @@ def decompose_pq_three(
     rho = require_hermitian(rho, INPUT_GATE_TOL, d)
 
     fams = list(lettered_families(pair, chosen).values())
-    # The Weyl data alone: no hull query is made, so no Gram is built.
-    system = HullSystem(gram=None, states=np.hstack([fam.states for fam in fams]), weights=_weyl_weights(fams))
+    system = hull_system(fams)  # no hull query is made, so no Gram is built
     labels = [label for fam in fams for label in fam.labels()]
     weyl = weyl_coefficients(rho)
     span_residual = system.off_span_distance(weyl)
@@ -382,8 +388,9 @@ def hull_membership(
     state's min-norm coefficients, kept when they are feasible and
     stationary: from the Weyl coefficients for a system built from families
     (only for a state within ``tol.recon`` of their span), else ``pinv_gram``
-    applied to h, with the system's ``kernel``. The distance is computed in
-    primal coordinates.
+    applied to h. A finite first step that fails is moved within the
+    system's ``kernel`` before the active set runs. The distance is computed
+    in primal coordinates.
 
     ``rho`` may also be a stack of m states, an (m, d, d) array or a list of
     d x d states; a single state is decided as a stack of one, on the same
@@ -412,7 +419,7 @@ def hull_membership(
         near = system.off_span_distance(weyl) <= tol.recon  # NaN: no candidate for a state off the span
         candidate = np.where(near[:, None], system.min_norm_coefficients(weyl), np.nan) if near.any() else None
     # A single state's h goes in 1-D, so that a solve that does not converge raises.
-    coeffs = simplex_least_squares(system.gram, h.reshape(*a.shape[:-2], -1), candidate=candidate, kernel=system.kernel).reshape(h.shape)
+    coeffs = simplex_least_squares(system.gram, h.reshape(*a.shape[:-2], -1), candidate=candidate, kernel=lambda: system.kernel).reshape(h.shape)
     distance = system.residual(coeffs, stack)
     failed = np.isnan(coeffs).any(axis=1).tolist()
     labels = _index_labels(h.shape[1]) if labels is None else tuple(labels)

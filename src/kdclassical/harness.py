@@ -294,8 +294,14 @@ class PerturbationBasis:
 
 
 def perturbation_basis(f_basis, pair: BasisPair) -> PerturbationBasis:
-    """Directions of the whole all-real-table space for None, or of a list of operators spanning a subspace of it."""
-    return PerturbationBasis(pair=pair, directions=traceless_real_table_directions(f_basis, pair.dim))
+    """Directions of the whole all-real-table space for None, or of a list of operators spanning a subspace of it.
+
+    Raises ZeroDirection when there is none to draw from.
+    """
+    directions = traceless_real_table_directions(f_basis, pair.dim)
+    if directions.shape[1] == 0:
+        raise ZeroDirection("basis has no traceless component")
+    return PerturbationBasis(pair=pair, directions=directions)
 
 
 def _matrix_from_stacked(vec: np.ndarray, d: int) -> np.ndarray:
@@ -320,8 +326,6 @@ def sample_kd_boundary(config: SampleConfig, f_basis, index: int = 0) -> np.ndar
     basis = f_basis if isinstance(f_basis, PerturbationBasis) else perturbation_basis(f_basis, dft_pair(d))
     if basis.pair.dim != d:
         raise BadDimension(f"perturbation basis has dimension {basis.pair.dim}, config says {d}")
-    if basis.directions.shape[1] == 0:
-        raise ZeroDirection("basis has no traceless component")
     return _boundary_draw(next(_generators(config.seed, index, index + 1)), basis)
 
 
@@ -366,12 +370,14 @@ def stack_height(d: int) -> int:
 
 # The arrays each probe mode and command builds, as named in :func:`setup_bytes`.
 _SETUP_ARRAYS = {
-    "hull": ("states", "overlaps", "gram", "stack", "samples", "projectors"),
-    "perturb": ("states", "overlaps", "gram", "stack", "samples", "directions"),
-    "ginibre": ("states", "overlaps", "gram", "stack", "samples"),
+    "hull": ("states", "overlaps", "gram", "spectrum", "stack", "samples", "projectors"),
+    "perturb": ("states", "overlaps", "gram", "spectrum", "stack", "samples", "directions"),
+    "ginibre": ("states", "overlaps", "gram", "spectrum", "stack", "samples"),
     "member": ("states", "overlaps", "gram", "copies", "factor"),
     "span-rank": ("projectors", "flat"),
     "pure": ("json",),
+    "dft": ("transition",),
+    "categories": ("cells",),
 }
 
 
@@ -379,13 +385,17 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
     """Bytes of the arrays ``command`` builds at dimension d, computed without building them.
 
     ``command`` is a probe mode ("hull", "perturb", "ginibre"), "member",
-    "span-rank", "pure" or "verify". With n = d x ``families`` projectors
-    (all d tau(d) by default; only "span-rank" chooses fewer):
+    "span-rank", "pure", "dft", "categories" or "verify". With n = d x
+    ``families`` projectors (all d tau(d) by default; only "span-rank"
+    chooses fewer):
 
     - states: the d x n state vectors (complex) and the d x d Weyl weights
       of a family-built hull system;
     - overlaps: the n x n complex V^dag V its Gram is computed from;
     - gram: n x n reals;
+    - spectrum: the ``eigh`` of the Gram that gives its kernel, run when a
+      finite min-norm step fails: n x n eigenvectors, n eigenvalues, and
+      the kept eigenvectors and the kernel copied out of them (n x n more);
     - stack: the solver's factor buffers for one stack of
       :func:`stack_height` states at full width, n x (n + 2) reals each,
       and the narrower copy they last grew from;
@@ -409,7 +419,13 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
       built from and the SVD's copy (3 n d^2 reals);
     - json: one family of d members written by ``kd pure``, 512 bytes per
       matrix entry (its Python floats and lists, then its text as str and
-      as bytes: about 380 bytes as tracemalloc counts them).
+      as bytes: about 380 bytes as tracemalloc counts them);
+    - transition: the d x d int64 exponents and complex transition matrix
+      of ``kd dft``, and its JSON at 512 bytes per entry, as for ``json``;
+    - cells: the d^2 cell tuples of ``kd categories``' entry partition at
+      128 bytes each (the tuple, its two ints and its slot) and its JSON at
+      384 bytes per cell (a list per cell, then the text and the encoder's
+      pieces: 200 to 330 bytes per cell at d = 100 to 400).
 
     "verify" runs its checks one after another, so its estimate is the
     largest of them: the real-table battery (the dense basis of m members,
@@ -432,6 +448,7 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
         "states": n * d * 16 + d * d * 8,
         "overlaps": n * n * 16,
         "gram": n * n * 8,
+        "spectrum": 2 * n * n * 8 + n * 8,
         "stack": stack_buffer_bytes(height, n),
         "samples": height * (64 * d * d + 16 * d * n + 96 * n + 768),
         "projectors": n * d * d * 16,
@@ -440,6 +457,8 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
         "factor": n * n * 8,
         "flat": 3 * n * d * d * 8,
         "json": d**3 * 512,
+        "transition": d * d * (8 + 16 + 512),
+        "cells": d * d * (128 + 384),
     }
     return sum(sizes[name] for name in _SETUP_ARRAYS[command])
 

@@ -73,6 +73,7 @@ numpy only.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -125,9 +126,11 @@ def simplex_least_squares(
     KKT step, with every column free and nu = 0, and it is returned when it
     is finite, feasible (entries >= -_FEAS_TOL, sum 1) and stationary on
     every column: then A x is the projection of b onto the span of the
-    columns, so no point of the simplex is closer. Otherwise it is moved
-    within candidate + range(``kernel``), an orthonormal basis of ker G, when
-    one is given (:func:`_kernel_step`), then the active set starts from the best vertex.
+    columns, so no point of the simplex is closer. Otherwise a finite
+    candidate is moved within candidate + range(``kernel()``), an orthonormal
+    basis of ker G, when ``kernel`` is given (:func:`_kernel_step`), then the
+    active set starts from the best vertex. ``kernel`` is called at most
+    once, and only when some row's finite candidate fails.
 
     ``h`` is one right-hand side or an (m, n) stack of them, with
     ``candidate`` of the same shape (a row of NaN: none for that row), and
@@ -148,8 +151,10 @@ def simplex_least_squares(
     else:
         z, _ = _solve_free(gram, rows, range(n), candidate=np.asarray(candidate, dtype=float).reshape(rows.shape))
         x, todo = np.maximum(z, 0.0), (~_feasible_and_stationary_rows(gram, rows, z)).nonzero()[0]
-        if kernel is not None:
-            todo = [r for r in todo if not _kernel_step(gram, rows[r], z[r], kernel, x[r])]
+        finite = np.isfinite(z[todo]).all(axis=1)  # a NaN row has no candidate, and nothing moves an infinite one
+        if kernel is not None and finite.any():
+            basis = kernel()
+            todo = [r for r, movable in zip(todo, finite) if not (movable and _kernel_step(gram, rows[r], z[r], basis, x[r]))]
     # Every row left to do is solved, or made NaN when it does not converge.
     if len(todo) >= _MIN_STACK:
         _active_set_stack(gram, rows, todo, max_iter, x)
@@ -289,7 +294,7 @@ def _grad_bound(gram: np.ndarray, h: np.ndarray):
 
 
 def _kernel_step(gram: np.ndarray, h: np.ndarray, z: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> bool:
-    """Move a failed candidate z within z + range(kernel), where A x and the gradient stay put; True, with x in ``out``, if x passes.
+    """Move a failed finite candidate z within z + range(kernel), where A x and the gradient stay put; True, with x in ``out``, if x passes.
 
     Each round pins the entries below -_FEAS_TOL to zero by the min-norm t of K_P t = z_P, x = z - K t (K = kernel,
     orthonormal). It gives up when K_P K_P^T is singular, more columns are pinned than K has, or a round pins no new
@@ -297,7 +302,7 @@ def _kernel_step(gram: np.ndarray, h: np.ndarray, z: np.ndarray, kernel: np.ndar
     """
     pinned = z < -_FEAS_TOL
     count, worst = np.count_nonzero(pinned), z[z.argmin()]
-    while 0 < count <= kernel.shape[1] and math.isfinite(worst):  # a NaN or -inf entry is never moved
+    while 0 < count <= kernel.shape[1]:
         rows = kernel.take(pinned.nonzero()[0], axis=0)
         try:  # ndarray.dot: on these small operands it costs less than matmul's dispatch
             x = z - kernel.dot(np.linalg.solve(rows.dot(rows.T), z[pinned]).dot(rows))

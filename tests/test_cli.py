@@ -25,6 +25,7 @@ from kdclassical import (
     sample_kd_boundary,
 )
 from kdclassical.cli import run
+from kdclassical.exceptions import ZeroDirection
 from kdclassical.families import all_projectors, lettered_families
 from kdclassical.harness import _generators, _ginibre_states
 
@@ -450,6 +451,50 @@ def test_span_rank_beyond_physical_memory_exits_2_at_once():
     code, seconds, stderr = run_capped(["span-rank", "--d", "2520"])
     assert code == 2 and seconds < 1.0
     assert "span-rank at d=2520 needs about" in stderr
+
+
+@pytest.mark.parametrize("command", ["dft", "categories"])
+def test_dft_and_categories_beyond_physical_memory_exit_2_at_once(command):
+    # d = 100,000: the d^2 entries' arrays and JSON take terabytes.
+    argv = [command, "--d", "100000"] + (["--out", os.devnull] if command == "dft" else [])
+    code, seconds, stderr = run_capped(argv)
+    assert code == 2 and seconds < 1.0
+    assert f"{command} at d=100000 needs about" in stderr
+
+
+@pytest.mark.parametrize("command", ["dft", "categories"])
+def test_dft_and_categories_estimates_cover_what_they_allocate(tmp_path, capsys, command):
+    import tracemalloc
+
+    from kdclassical.harness import setup_bytes
+
+    d = 20
+    argv = [command, "--d", str(d)] + (["--out", str(tmp_path / "u.json")] if command == "dft" else [])
+    assert run(argv) == 0  # first-call caches
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= setup_bytes(d, command) <= 2 * peak
+
+
+def test_probe_of_a_space_with_no_traceless_direction_exits_2(capsys, monkeypatch):
+    # At d = 1 the real-table space is the identity's span. The probe refuses
+    # before it seeds a generator, with the reason a single draw gives.
+    import kdclassical.harness as harness_module
+
+    with pytest.raises(ZeroDirection, match="^basis has no traceless component$"):
+        sample_kd_boundary(SampleConfig(d=1, seed=1, n_samples=1, mode="perturb"), None)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a generator was seeded")
+
+    monkeypatch.setattr(harness_module, "_generators", forbidden)
+    assert run(["probe", "--d", "1", "--mode", "perturb", "--samples", "3", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.strip() == "error: basis has no traceless component"
 
 
 @pytest.mark.parametrize("command", ["member", "span-rank", "pure", "verify"])

@@ -26,7 +26,7 @@ from kdclassical import (
     sample_kd_boundary,
 )
 from kdclassical.families import PureFamily, all_projectors
-from kdclassical.geometry import hull_system, stack_real
+from kdclassical.geometry import PINV_CUTOFF, hull_system, stack_real
 from kdclassical.harness import STACK_BYTES, perturbation_basis, setup_bytes, stack_height, traceless_real_table_directions
 from kdclassical.kdreal import traceless_kd_real_block
 from kdclassical.solver import _FreeSetStack
@@ -351,7 +351,12 @@ def test_setup_estimate_covers_the_built_arrays(d):
     # 768 bytes of Python objects, this stack's verdicts only (tracemalloc sees 115-575 bytes per state alive after
     # hull_membership returns at d = 2, 6 and 9); tests/test_cli.py checks that the estimate covers the traced peak.
     samples = height * (4 * np.zeros((d, d), dtype=complex).nbytes + system.states.nbytes + 12 * system.gram[0].nbytes + 768)
-    built = system.states.nbytes + system.weights.nbytes + 3 * system.gram.nbytes + full_and_copy + samples
+    # The Gram's eigh, for the kernel: its eigenvectors and eigenvalues, then the kept eigenvectors and the kernel
+    # copied out of them, n columns between them.
+    eig, vecs = np.linalg.eigh(system.gram)
+    assert system.kernel.shape[1] + int(np.count_nonzero(eig > PINV_CUTOFF * eig[-1])) == n
+    spectrum = 2 * vecs.nbytes + eig.nbytes
+    built = system.states.nbytes + system.weights.nbytes + 3 * system.gram.nbytes + spectrum + full_and_copy + samples
     assert setup_bytes(d, "ginibre") == built
     assert setup_bytes(d, "perturb") == built + 2 * block_bytes + directions.nbytes
     assert setup_bytes(d, "hull") == built + sum(p.nbytes for p in projectors)

@@ -6,20 +6,25 @@ can only change the sign test's verdict; the KKT test still decides.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from kdclassical import SampleConfig, dft_pair, kd_real_basis, pure_kd_set, sample_kd_boundary, solver
 from kdclassical.families import all_projectors
-from kdclassical.geometry import hull_membership, hull_system
-from kdclassical.harness import _generators, _ginibre_states
+from kdclassical.geometry import HullSystem, hull_membership, hull_system, weyl_coefficients
+from kdclassical.harness import _generators, _ginibre_states, perturbation_basis, probe_conjecture
 from kdclassical.solver import _FEAS_TOL, _feasible_and_stationary_rows, _kernel_step, simplex_least_squares
 
 
 def list_system(d):
     return hull_system(all_projectors(pure_kd_set(dft_pair(d)))[0])
+
+
+def with_derived(system, **values):
+    """A new system over ``system``'s states whose named derived values (``pinv_gram``, ``kernel``) are ``values``, not computed."""
+    fake = HullSystem(states=system.states, weights=system.weights)
+    vars(fake).update(values)  # where functools.cached_property keeps a computed value
+    return fake
 
 
 def certify_states(d, seed, n=200):
@@ -70,20 +75,20 @@ def test_the_step_does_not_depend_on_the_kernel_basis(d):
     assert cases
     alone = []
     for gram, h, candidate in cases:
-        alone.append(simplex_least_squares(gram, h, candidate=candidate, kernel=system.kernel))
-        assert np.abs(simplex_least_squares(gram, h, candidate=candidate, kernel=rotated) - alone[-1]).max() <= 1e-13
+        alone.append(simplex_least_squares(gram, h, candidate=candidate, kernel=lambda: system.kernel))
+        assert np.abs(simplex_least_squares(gram, h, candidate=candidate, kernel=lambda: rotated) - alone[-1]).max() <= 1e-13
     # A stack moves each row as it moves alone.
-    stacked = simplex_least_squares(cases[0][0], np.array([c[1] for c in cases]), candidate=np.array([c[2] for c in cases]), kernel=system.kernel)
+    stacked = simplex_least_squares(cases[0][0], np.array([c[1] for c in cases]), candidate=np.array([c[2] for c in cases]), kernel=lambda: system.kernel)
     assert np.array_equal(stacked, np.array(alone))
 
 
 @pytest.mark.parametrize("d", [6, 9])
 def test_a_bogus_kernel_changes_no_verdict(d):
     # Random columns move x off x0 + ker G, so the moved x fails stationarity
-    # and the row runs the active set as it would with no kernel.
+    # and the row runs the active set as it would with no kernel (zero columns).
     system = list_system(d)
-    bogus = dataclasses.replace(system, kernel=np.random.default_rng(7).standard_normal(system.kernel.shape))
-    plain = dataclasses.replace(system, kernel=None)
+    bogus = with_derived(system, kernel=np.random.default_rng(7).standard_normal(system.kernel.shape))
+    plain = with_derived(system, kernel=np.empty((len(system.gram), 0)))
     states = certify_states(d, 12721, 60)
     assert failing(system, states)
     for rho in states:
@@ -156,7 +161,11 @@ def test_a_non_finite_candidate_with_a_kernel_falls_back(bad):
     candidate = candidate.copy()
     candidate[int(candidate.argmin())] = bad
     plain = simplex_least_squares(gram, h)
-    assert np.array_equal(simplex_least_squares(gram, h, candidate=candidate, kernel=system.kernel), plain)
+
+    def kernel():
+        raise AssertionError("the kernel was asked for a candidate that is not finite")
+
+    assert np.array_equal(simplex_least_squares(gram, h, candidate=candidate, kernel=kernel), plain)
 
 
 def test_one_row_kkt_test_matches_the_stacked_one():
@@ -202,3 +211,59 @@ def test_a_bad_projector_list_is_refused_before_the_eigensolver(monkeypatch, pro
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     with pytest.raises(ValueError):
         hull_system(projectors)
+
+
+@pytest.mark.parametrize("d, n", [(10, 100), (12, 100), (16, 60), (30, 50)])
+def test_the_kernel_step_decides_every_family_member_whose_weyl_candidate_fails(d, n):
+    pair = dft_pair(d)
+    system = hull_system(pure_kd_set(pair))
+    config, basis = SampleConfig(d=d, seed=12721, n_samples=n, mode="perturb"), perturbation_basis(None, pair)
+    rhos = np.array([sample_kd_boundary(config, basis, index=i) for i in range(n)])
+    h, z = system.expectations(rhos), system.min_norm_coefficients(weyl_coefficients(rhos))
+    failed = (~_feasible_and_stationary_rows(system.gram, h, z)).nonzero()[0]
+    members = 0
+    for i in failed:
+        plain = system.residual(simplex_least_squares(system.gram, h[i]), rhos[i])  # the active set's distance
+        if plain > 1e-9:
+            continue
+        members += 1
+        x = np.full(len(h[i]), np.nan)
+        assert _kernel_step(system.gram, h[i], z[i], system.kernel, x)
+        assert _feasible_and_stationary_rows(system.gram, h[i][None], x[None])[0]
+        assert abs(system.residual(x, rhos[i]) - plain) <= 1e-12
+    assert members >= 10  # the step has work to do at this seed
+
+
+class EighCounter:
+    """Counts the calls of np.linalg.eigh."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = np.linalg.eigh
+
+        def counted(a):
+            self.calls += 1
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+
+
+def test_a_system_computes_its_kernel_at_most_once(monkeypatch):
+    counter = EighCounter(monkeypatch)
+    # Perturbation states at d = 12 whose Weyl candidates fail in several stacks of 18: one eigh for the call.
+    probe_conjecture(SampleConfig(d=12, seed=12721, n_samples=60, mode="perturb"))
+    assert counter.calls == 1
+    # A list system's pseudo-inverse and kernel share one eigh over all its queries.
+    system = list_system(6)
+    for rho in certify_states(6, 12721, 20):
+        hull_membership(rho, system)
+    assert counter.calls == 2
+    assert system.kernel is system.kernel and system.pinv_gram is system.pinv_gram and counter.calls == 2
+
+
+@pytest.mark.parametrize("d, mode, n", [(30, "perturb", 4), (6, "ginibre", 250)])
+def test_the_benchmark_probes_compute_no_kernel(monkeypatch, d, mode, n):
+    # perturb-d30's Weyl candidates pass; every ginibre-d6 state is off the span, so it has none.
+    counter = EighCounter(monkeypatch)
+    report = probe_conjecture(SampleConfig(d=d, seed=12721, n_samples=n, mode=mode))
+    assert report.solver_failures == 0 and counter.calls == 0

@@ -83,8 +83,11 @@ def test_min_norm_coefficients_and_off_span_distance_match_pinv_and_lstsq(d):
 def test_projector_list_system_has_no_weyl_data():
     projs = [p for fam in pure_kd_set(dft_pair(6)) for p in fam.projectors()]
     by_list, by_families = hull_system(projs), family_system(6)
-    assert by_list.weights is None and by_list.pinv_gram is not None
-    assert by_families.pinv_gram is None and by_families.kernel is None
+    assert by_list.weights is None and by_families.weights.shape == (6, 6)
+    # Either keeps its states and no more until a query asks for the Gram, its pseudo-inverse or its kernel.
+    for system in (by_list, by_families):
+        assert [field.name for field in dataclasses.fields(system)] == ["states", "weights"]
+        assert not {"gram", "pinv_gram", "kernel"} & vars(system).keys()
     # The list's state vectors give back its projectors; each is a family state up to a phase.
     assert np.abs(stacked(by_list) - stack_real(projs)).max() <= 1e-15
     overlaps = np.abs(np.einsum("ik,ik->k", by_list.states.conj(), by_families.states))
@@ -94,6 +97,13 @@ def test_projector_list_system_has_no_weyl_data():
     for system in (by_list, by_families):
         assert np.array_equal(system.gram, np.abs(system.states.conj().T @ system.states) ** 2)
     assert np.abs(by_list.gram - by_families.gram).max() <= 8 * np.finfo(float).eps
+    # Each kernel is an orthonormal basis of ker G: n - m = 24 - 15 columns.
+    for system in (by_list, by_families):
+        kernel = system.kernel
+        assert kernel.shape == (24, 24 - kd_real_dimension(6))
+        assert np.abs(kernel.T @ kernel - np.eye(kernel.shape[1])).max() <= 1e-14
+        assert np.abs(system.gram @ kernel).max() <= 1e-13
+        assert np.abs(system.pinv_gram @ system.gram @ system.pinv_gram - system.pinv_gram).max() <= 1e-12
 
 
 def test_ginibre_d6_verdicts_are_those_of_the_stacked_gram():
@@ -335,11 +345,13 @@ def negative_list_candidate(system, d=6):
 
 
 def test_negative_list_candidate_falls_back_to_the_plain_solver(monkeypatch):
-    # With no kernel, nothing but the active set can move the candidate.
+    # With no kernel (zero columns), nothing but the active set can move the candidate.
     system = list_system(6)
     rho, bad = negative_list_candidate(system)
+    faked = HullSystem(states=system.states)
+    vars(faked).update(pinv_gram=bad, kernel=np.empty((len(bad), 0)))  # where cached_property keeps its values
     counter = StepCounter(monkeypatch)
-    verdict = hull_membership(rho, dataclasses.replace(system, pinv_gram=bad, kernel=None))
+    verdict = hull_membership(rho, faked)
     assert counter.calls > 2
     assert verdict.distance == plain_distance(system, rho)
 
@@ -354,8 +366,10 @@ def test_negative_list_candidate_is_repaired_by_the_kernel_step(monkeypatch):
 
     monkeypatch.setattr(solver, "_active_set", forbidden)
     monkeypatch.setattr(solver, "_active_set_stack", forbidden)
+    faked = HullSystem(states=system.states)
+    vars(faked).update(pinv_gram=bad)  # where cached_property keeps its value; the kernel is computed
     counter = StepCounter(monkeypatch)
-    verdict = hull_membership(rho, dataclasses.replace(system, pinv_gram=bad))
+    verdict = hull_membership(rho, faked)
     assert counter.calls == 1  # the candidate's KKT step; the repair makes none
     assert verdict.member and abs(verdict.distance - reference) <= 1e-14
     coefficients = verdict.certificate.coefficients
