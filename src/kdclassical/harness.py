@@ -372,8 +372,8 @@ def stack_height(d: int) -> int:
 _SETUP_ARRAYS = {
     "hull": ("states", "overlaps", "gram", "spectrum", "stack", "samples", "projectors"),
     "perturb": ("states", "overlaps", "gram", "spectrum", "stack", "samples", "directions"),
-    "ginibre": ("states", "overlaps", "gram", "spectrum", "stack", "samples"),
-    "member": ("states", "overlaps", "gram", "copies", "factor"),
+    "ginibre": ("states", "overlaps", "gram", "stack", "samples"),
+    "member": ("states", "gram", "spectrum", "copies"),
     "span-rank": ("projectors", "flat"),
     "pure": ("json",),
     "dft": ("transition",),
@@ -393,9 +393,12 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
       of a family-built hull system;
     - overlaps: the n x n complex V^dag V its Gram is computed from;
     - gram: n x n reals;
-    - spectrum: the ``eigh`` of the Gram that gives its kernel, run when a
-      finite min-norm step fails: n x n eigenvectors, n eigenvalues, and
-      the kept eigenvectors and the kernel copied out of them (n x n more);
+    - spectrum: the ``eigh`` of the Gram, run when a finite min-norm step
+      fails: its n x n eigenvectors and n eigenvalues, and LAPACK's copy
+      of the Gram and syevd workspace (2 n^2 + 11 n + 4 words), which
+      numpy takes from plain malloc, out of tracemalloc's sight; 4 n^2 +
+      16 n reals cover them, and the kernel copied out after. Not for
+      "ginibre": a Ginibre state lies off the span;
     - stack: the solver's factor buffers for one stack of
       :func:`stack_height` states at full width, n x (n + 2) reals each,
       and the narrower copy they last grew from;
@@ -410,11 +413,11 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
     - directions: the 2d^2 x m traceless block, m being the real-table
       dimension, the SVD's left factor of the same shape, and the
       2d^2 x (m - 1) directions copied out of it;
-    - copies: eight more d x n complex arrays of state vectors: the
-      families' own, V^dag for the overlaps, then two per pass over the
-      states in a query (h, the min-norm step, the residual);
-    - factor: the solver's n x n inverse Cholesky factor, built when the
-      min-norm step does not decide the query;
+    - copies: six d x n complex arrays of state vectors (the families'
+      own, V^dag, the products of a pass over the states: a few alive at
+      once, and room for allocator and BLAS buffers). "member" counts no
+      overlaps (freed before the spectrum, half its size) and no solver
+      factor (after it, 2 n^2 reals beside the n^2 it leaves cached);
     - flat: the n x d^2 real rows of ``real_span_rank``, the list they are
       built from and the SVD's copy (3 n d^2 reals);
     - json: one family of d members written by ``kd pure``, 512 bytes per
@@ -448,13 +451,12 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
         "states": n * d * 16 + d * d * 8,
         "overlaps": n * n * 16,
         "gram": n * n * 8,
-        "spectrum": 2 * n * n * 8 + n * 8,
+        "spectrum": (4 * n * n + 16 * n) * 8,
         "stack": stack_buffer_bytes(height, n),
         "samples": height * (64 * d * d + 16 * d * n + 96 * n + 768),
         "projectors": n * d * d * 16,
         "directions": 2 * d * d * (3 * m - 1) * 8,
-        "copies": 8 * n * d * 16,
-        "factor": n * n * 8,
+        "copies": 6 * n * d * 16,
         "flat": 3 * n * d * d * 8,
         "json": d**3 * 512,
         "transition": d * d * (8 + 16 + 512),

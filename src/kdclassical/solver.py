@@ -41,10 +41,10 @@ A caller that knows pinv(A) b in closed form (the Weyl min-norm step of a
 :class:`~kdclassical.geometry.HullSystem` built from families, pinv(G) h of
 one built from a projector list) passes it as ``candidate``, the first KKT
 step (every column free, nu = 0), which ends the solve when it passes the KKT
-test. A list system, having no Weyl data, also passes ``kernel``, a basis of
-ker G: a failed candidate is moved within candidate + ker G first
-(:func:`_kernel_step`), and a row that still fails runs the active set from
-the best vertex, unchanged.
+test, together with ``kernel``, which gives a basis of ker G when asked. A
+finite candidate that fails is moved within candidate + ker G
+(:func:`_kernel_step`), and a row that still fails, or has no finite
+candidate, runs the active set from the best vertex, unchanged.
 
 Every call solves h as an (m, n) stack of right-hand sides against one
 Gram, a 1-D h (one query) as a stack of one. The candidate step is checked
@@ -117,7 +117,7 @@ def simplex_least_squares(
     h: np.ndarray,
     max_iter: int | None = None,
     candidate: np.ndarray | None = None,
-    kernel: np.ndarray | None = None,
+    kernel: Callable[[], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Return the minimizer x of ||A x - b|| over the simplex, given G = A^T A and h = A^T b.
 
@@ -128,9 +128,10 @@ def simplex_least_squares(
     every column: then A x is the projection of b onto the span of the
     columns, so no point of the simplex is closer. Otherwise a finite
     candidate is moved within candidate + range(``kernel()``), an orthonormal
-    basis of ker G, when ``kernel`` is given (:func:`_kernel_step`), then the
-    active set starts from the best vertex. ``kernel`` is called at most
-    once, and only when some row's finite candidate fails.
+    basis of ker G (:func:`_kernel_step`), then the active set starts from
+    the best vertex. ``kernel`` is required with ``candidate``; it is called
+    at most once, and only when some row's finite candidate fails. A kernel
+    of no columns moves nothing.
 
     ``h`` is one right-hand side or an (m, n) stack of them, with
     ``candidate`` of the same shape (a row of NaN: none for that row), and
@@ -146,13 +147,15 @@ def simplex_least_squares(
         raise ValueError(f"h must be one right-hand side of at least one column or a stack of them, got shape {h.shape}")
     max_iter = 10 * n + 100 if max_iter is None else max_iter
     rows = h.reshape(-1, n)
+    if candidate is not None and kernel is None:
+        raise ValueError("a candidate needs a kernel callable; one that returns no columns moves nothing")
     if candidate is None:
         x, todo = np.empty(rows.shape), np.arange(len(rows))
     else:
         z, _ = _solve_free(gram, rows, range(n), candidate=np.asarray(candidate, dtype=float).reshape(rows.shape))
         x, todo = np.maximum(z, 0.0), (~_feasible_and_stationary_rows(gram, rows, z)).nonzero()[0]
         finite = np.isfinite(z[todo]).all(axis=1)  # a NaN row has no candidate, and nothing moves an infinite one
-        if kernel is not None and finite.any():
+        if finite.any():
             basis = kernel()
             todo = [r for r, movable in zip(todo, finite) if not (movable and _kernel_step(gram, rows[r], z[r], basis, x[r]))]
     # Every row left to do is solved, or made NaN when it does not converge.

@@ -555,6 +555,33 @@ def test_entry_point_estimate_covers_what_it_allocates(tmp_path, capsys, command
     assert peak <= setup_bytes(d, command) <= 2 * peak
 
 
+def test_member_estimate_covers_the_resident_peak_of_the_kernel_eigh(tmp_path):
+    # tracemalloc does not see LAPACK's copy of the Gram and its workspace, so the kernel's eigh is checked
+    # against a child's resident set. A family member's projector at d = 96 (n = 1,152) fails its Weyl
+    # candidate, and the eigh's 4 n^2 reals make the peak; a d = 6 one first loads every library page.
+    from kdclassical.harness import setup_bytes
+
+    paths = {}
+    for d in (6, 96):
+        v = pure_kd_set(dft_pair(d))[-1].states[:, 1]
+        paths[d] = write_state(tmp_path / f"rho{d}.json", np.outer(v, v.conj()))
+    child = (
+        "import resource, numpy as np\n"
+        "from kdclassical.cli import run\n"
+        "sizes, eigh = [], np.linalg.eigh\n"
+        "np.linalg.eigh = lambda a: (sizes.append(len(a)), eigh(a))[1]\n"
+        f"assert run(['member', '--state', {paths[6]!r}]) == 0\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"assert run(['member', '--state', {paths[96]!r}]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, *sizes)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(kdclassical.__file__)))
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60, check=True)
+    grown_kib, *sizes = map(int, done.stdout.splitlines()[-1].split())  # after the verdicts' JSON
+    assert sizes == [24, 1152]
+    assert 1024 * grown_kib <= setup_bytes(96, "member")  # 0.91 of it on a 2-core x86 VM
+
+
 @pytest.mark.parametrize(
     "command, d",
     [(mode, d) for mode in ("perturb", "hull", "ginibre") for d in (2, 6, 9, 14, 15, 30)]

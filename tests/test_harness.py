@@ -351,15 +351,18 @@ def test_setup_estimate_covers_the_built_arrays(d):
     # 768 bytes of Python objects, this stack's verdicts only (tracemalloc sees 115-575 bytes per state alive after
     # hull_membership returns at d = 2, 6 and 9); tests/test_cli.py checks that the estimate covers the traced peak.
     samples = height * (4 * np.zeros((d, d), dtype=complex).nbytes + system.states.nbytes + 12 * system.gram[0].nbytes + 768)
-    # The Gram's eigh, for the kernel: its eigenvectors and eigenvalues, then the kept eigenvectors and the kernel
-    # copied out of them, n columns between them.
+    # The Gram's eigh, for the kernel of a perturbation or hull state's failed Weyl candidate (a Ginibre state has
+    # none): its eigenvectors and eigenvalues, and LAPACK's copy of the Gram with its eigenvalues and syevd's
+    # workspace, 2 n^2 + 6 n + 1 reals and 5 n + 3 integers, rounded up to 16 n-vectors. The kept eigenvectors and
+    # the kernel copied out afterwards, n columns between them, fit in what the eigh has freed.
     eig, vecs = np.linalg.eigh(system.gram)
     assert system.kernel.shape[1] + int(np.count_nonzero(eig > PINV_CUTOFF * eig[-1])) == n
-    spectrum = 2 * vecs.nbytes + eig.nbytes
-    built = system.states.nbytes + system.weights.nbytes + 3 * system.gram.nbytes + spectrum + full_and_copy + samples
+    spectrum = 4 * vecs.nbytes + 16 * eig.nbytes
+    assert spectrum >= 2 * vecs.nbytes + 2 * eig.nbytes + 8 * (2 * n * n + 6 * n + 1) + 8 * (5 * n + 3)
+    built = system.states.nbytes + system.weights.nbytes + 3 * system.gram.nbytes + full_and_copy + samples
     assert setup_bytes(d, "ginibre") == built
-    assert setup_bytes(d, "perturb") == built + 2 * block_bytes + directions.nbytes
-    assert setup_bytes(d, "hull") == built + sum(p.nbytes for p in projectors)
+    assert setup_bytes(d, "perturb") == built + spectrum + 2 * block_bytes + directions.nbytes
+    assert setup_bytes(d, "hull") == built + spectrum + sum(p.nbytes for p in projectors)
 
 
 def test_probe_refuses_a_dimension_beyond_physical_memory(monkeypatch):

@@ -168,6 +168,16 @@ def test_a_non_finite_candidate_with_a_kernel_falls_back(bad):
     assert np.array_equal(simplex_least_squares(gram, h, candidate=candidate, kernel=kernel), plain)
 
 
+def test_a_candidate_without_a_kernel_is_refused():
+    # A failed candidate always takes the kernel step; a kernel of no columns is how a caller declines it.
+    system = list_system(6)
+    gram, h, candidate = failing(system, certify_states(6, 12721, 20))[0]
+    with pytest.raises(ValueError, match="kernel"):
+        simplex_least_squares(gram, h, candidate=candidate)
+    declined = simplex_least_squares(gram, h, candidate=candidate, kernel=lambda: np.empty((len(gram), 0)))
+    assert np.array_equal(declined, simplex_least_squares(gram, h))
+
+
 def test_one_row_kkt_test_matches_the_stacked_one():
     # A stack of one takes the scalar path; two copies take the stacked one.
     system = list_system(6)

@@ -94,13 +94,17 @@ def test_a_stack_gives_each_state_its_single_verdict(d, monkeypatch):
     loop = LoopRows(monkeypatch)
     stacked = hull_membership(np.array(rhos), system)
     h, candidate = solver_inputs(system, rhos)
-    x = simplex_least_squares(system.gram, h, candidate=candidate)
+
+    def no_kernel():  # the candidate alone, with no kernel step
+        return np.empty((len(system.gram), 0))
+
+    x = simplex_least_squares(system.gram, h, candidate=candidate, kernel=no_kernel)
     assert len(loop.rows) == 2 and _MIN_STACK <= loop.rows[0] < len(rhos)  # mixed: some rows decided, most not
     for rho, verdict, h_row, c_row, x_row in zip(rhos, stacked, h, candidate, x):
         alone = hull_membership(rho, system)
         assert verdict.member == alone.member
         assert abs(verdict.distance - alone.distance) <= 1e-15
-        x_alone = simplex_least_squares(system.gram, h_row, candidate=None if np.isnan(c_row).all() else c_row)
+        x_alone = simplex_least_squares(system.gram, h_row, candidate=c_row, kernel=no_kernel)
         assert np.abs(x_row - x_alone).max() <= 1e-12
         if alone.member:
             assert np.abs(verdict.certificate.coefficients - alone.certificate.coefficients).max() <= 1e-12
