@@ -350,29 +350,35 @@ def _boundary_draw(rng: np.random.Generator, basis: PerturbationBasis) -> np.nda
 # checks the Weyl step of a whole stack at once and, when enough states
 # are left undecided, runs one active-set loop for them all, each
 # iteration costing a fixed number of numpy calls whatever the stack's
-# height. The stack's factor buffers at full width, n x (n + 2) floats per
-# state, are held to this many bytes: 157 states at d = 6 (n = 24), 125 at
-# d = 9, 18 at d = 12, 14 at d = 16, and from n = 221 on one, a stack of
-# one like any single query (d = 30 has n = 240): there a solve takes
-# about 140 steps on products that are no longer small, and the per-call
-# cost that a stack shares is a small part of it. The buffers start narrow
-# and widen with the widest free set. A stack that leaves the solver too few
-# undecided states for its stacked loop solves them one by one and shares
-# only the input checks, h, the Weyl step and the residual.
-STACK_BYTES = 768 * 1024
+# height: at d = 6 a stack costs about 3 ms besides 26 us a state. The
+# bytes a stack holds per state, the solver's factor buffers and the
+# samples' arrays as :func:`setup_bytes` counts them, are held to this
+# many: 280 states at d = 6 (n = 24), so that a probe call of a few hundred
+# samples is one stack, 199 at d = 9, 39 at d = 12, 31 at d = 16 and 5 at
+# d = 30 (n = 240); a stack of one, like any single query, once a state
+# takes more than half of them (d = 48, n = 480, is the first, and every
+# d above 113). The buffers start narrow and widen with the widest free
+# set. A stack that leaves the solver too few undecided states for its
+# stacked loop solves them one by one and shares only the input checks,
+# h, the Weyl step and the residual.
+STACK_BYTES = 4 * 1024 * 1024
+
+
+def _stack_state_bytes(d: int, n: int) -> int:
+    """The bytes a probe stack holds per state, as :func:`setup_bytes` counts its "stack" term."""
+    return stack_buffer_bytes(1, n) + 64 * d * d + 16 * d * n + 96 * n + 768
 
 
 def stack_height(d: int) -> int:
-    """States per stack of a probe at dimension d, from :data:`STACK_BYTES`, over all n = d tau(d) projectors."""
-    n = d * len(factorizations(d))
-    return max(1, STACK_BYTES // (n * (n + 2) * 8))
+    """States per stack of a probe at dimension d: :data:`STACK_BYTES` over the bytes a state of the stack holds, with all n = d tau(d) projectors."""
+    return max(1, STACK_BYTES // _stack_state_bytes(d, d * len(factorizations(d))))
 
 
 # The arrays each probe mode and command builds, as named in :func:`setup_bytes`.
 _SETUP_ARRAYS = {
-    "hull": ("states", "overlaps", "gram", "spectrum", "stack", "samples", "projectors"),
-    "perturb": ("states", "overlaps", "gram", "spectrum", "stack", "samples", "directions"),
-    "ginibre": ("states", "overlaps", "gram", "stack", "samples"),
+    "hull": ("states", "overlaps", "gram", "spectrum", "stack", "projectors"),
+    "perturb": ("states", "overlaps", "gram", "spectrum", "stack", "directions"),
+    "ginibre": ("states", "overlaps", "gram", "stack"),
     "member": ("states", "gram", "spectrum", "copies"),
     "span-rank": ("projectors", "flat"),
     "pure": ("json",),
@@ -399,16 +405,16 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
       numpy takes from plain malloc, out of tracemalloc's sight; 4 n^2 +
       16 n reals cover them, and the kernel copied out after. Not for
       "ginibre": a Ginibre state lies off the span;
-    - stack: the solver's factor buffers for one stack of
-      :func:`stack_height` states at full width, n x (n + 2) reals each,
-      and the narrower copy they last grew from;
-    - samples: per state of that stack, four d x d complex arrays (the
+    - stack: per state of one stack of :func:`stack_height` states, the
+      solver's factor buffers at full width, n x (n + 2) reals, and the
+      narrower copy they last grew from; four d x d complex arrays (the
       most alive at once among the state, its draw, its table's product
       and values, its Weyl coefficients and its residual), one d x n
       complex product (h's or the residual's), twelve n-vectors of reals
       (h, the candidates, the coefficients, the solver's per-row arrays)
       and 768 bytes of Python objects (this stack's verdicts; the last
-      stack's are released before the next is drawn);
+      stack's are released before the next is drawn). The stack height
+      is sized from the same bytes;
     - projectors: n d^2 complex, built as dense matrices;
     - directions: the 2d^2 x m traceless block, m being the real-table
       dimension, the SVD's left factor of the same shape, and the
@@ -438,22 +444,27 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
     values, and as much again for the temporaries and table objects beside
     them: 64 d^4 bytes), and the perturb and hull probe set-ups, which the
     round-trip and probe checks build.
+
+    Only what the named arrays use is computed: n, m and the stack height
+    take time at large d, and "pure", "dft" and "categories" use none.
     """
+    if d < 1:  # before any command's arrays: kd pure would make its output directory first
+        raise ValueError("dimension must be a positive integer")
     if families is not None and families < 1:
         raise ValueError(f"need at least one family, got {families}")
-    n = d * (len(factorizations(d)) if families is None else families)
-    m = kd_real_dimension(d)
     if command == "verify":
-        battery = 32 * m * d * d + 16 * d * d + 256
+        battery = 32 * kd_real_dimension(d) * d * d + 16 * d * d + 256
         return max(battery, 64 * d**4 if d <= 16 else 0, setup_bytes(d, "perturb"), setup_bytes(d, "hull"))
-    height = stack_height(d)
+    names = _SETUP_ARRAYS[command]
+    n = 0 if command in ("pure", "dft", "categories") else d * (len(factorizations(d)) if families is None else families)
+    m = kd_real_dimension(d) if "directions" in names else 0
+    height = stack_height(d) if "stack" in names else 0
     sizes = {
         "states": n * d * 16 + d * d * 8,
         "overlaps": n * n * 16,
         "gram": n * n * 8,
         "spectrum": (4 * n * n + 16 * n) * 8,
-        "stack": stack_buffer_bytes(height, n),
-        "samples": height * (64 * d * d + 16 * d * n + 96 * n + 768),
+        "stack": height * _stack_state_bytes(d, n),
         "projectors": n * d * d * 16,
         "directions": 2 * d * d * (3 * m - 1) * 8,
         "copies": 6 * n * d * 16,
@@ -462,7 +473,7 @@ def setup_bytes(d: int, command: str, families: int | None = None) -> int:
         "transition": d * d * (8 + 16 + 512),
         "cells": d * d * (128 + 384),
     }
-    return sum(sizes[name] for name in _SETUP_ARRAYS[command])
+    return sum(sizes[name] for name in names)
 
 
 def require_memory(d: int, command: str, families: int | None = None) -> None:

@@ -365,6 +365,25 @@ def test_setup_estimate_covers_the_built_arrays(d):
     assert setup_bytes(d, "hull") == built + spectrum + sum(p.nbytes for p in projectors)
 
 
+def test_estimates_with_no_projector_count_compute_none(monkeypatch):
+    # kd dft, kd pure and kd categories build nothing of n projectors or of the real-table dimension, and at
+    # large d counting either (or sizing a probe stack) takes longer than the estimate itself.
+    import kdclassical.harness as harness_module
+
+    def forbidden(d):
+        raise AssertionError("computed a count the estimate does not use")
+
+    commands = ("dft", "pure", "categories")
+    expected = [setup_bytes(d, command) for d in (1, 6, 10**6) for command in commands]
+    monkeypatch.setattr(harness_module, "factorizations", forbidden)
+    monkeypatch.setattr(harness_module, "kd_real_dimension", forbidden)
+    assert [setup_bytes(d, command) for d in (1, 6, 10**6) for command in commands] == expected
+    assert [setup_bytes(6, command) for command in commands] == [36 * (8 + 16 + 512), 6**3 * 512, 36 * (128 + 384)]
+    for command in commands:  # refused before kd pure makes its output directory
+        with pytest.raises(ValueError, match="positive integer"):
+            setup_bytes(0, command)
+
+
 def test_probe_refuses_a_dimension_beyond_physical_memory(monkeypatch):
     import kdclassical.harness as harness_module
 

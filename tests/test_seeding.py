@@ -147,6 +147,6 @@ def traced_probe_peak(n: int) -> int:
 
 
 def test_a_stack_is_released_before_the_next_is_drawn():
-    assert stack_height(2) == 4096
-    one, two = traced_probe_peak(4096), traced_probe_peak(8192)
+    height = stack_height(2)
+    one, two = traced_probe_peak(height), traced_probe_peak(2 * height)
     assert two <= 1.1 * one, (one, two)

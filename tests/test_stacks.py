@@ -21,6 +21,7 @@ from kdclassical import (
     SolverDidNotConverge,
     dft_pair,
     geometry,
+    harness,
     hull_membership,
     kd_table,
     probe_conjecture,
@@ -146,11 +147,11 @@ class SolverResults:
 
 @pytest.mark.parametrize("d", [6, 9, 30])
 def test_a_single_state_is_a_stack_of_one(d, monkeypatch):
-    # Every d = 30 probe sends its states as stacks of one, and kd member a
-    # single state: the two must agree to the last bit, off the span (a
-    # Ginibre state, solved by the active set) and on it (a perturbation
-    # state, decided by the Weyl step).
-    assert stack_height(30) == 1
+    # A probe from d = 48 on sends its states as stacks of one, and kd
+    # member a single state: the two must agree to the last bit, off the
+    # span (a Ginibre state, solved by the active set) and on it (a
+    # perturbation state, decided by the Weyl step).
+    assert stack_height(48) == 1 < stack_height(30)
     system = family_system(d)
     states = {"off span": ginibre(d, 1)[0], "in span": perturbed(d, [0])[0]}
     for where, rho in states.items():
@@ -170,15 +171,14 @@ def test_a_single_state_is_a_stack_of_one(d, monkeypatch):
 
 
 def test_readme_sample_235_in_its_probe_stack():
-    # The probe's second stack at d = 6 starts at stack_height(6) = 157: it
-    # holds samples 157-235 at n_samples = 236, and samples 157-249 at 250.
-    first = stack_height(6)
-    assert first == 157
+    # A probe of up to stack_height(6) = 280 samples at d = 6 is one stack: it
+    # holds samples 0-235 at n_samples = 236, and samples 0-249 at 250.
+    assert stack_height(6) == 280
     system = family_system(6)
     for last in (236, 250):
-        rhos = perturbed(6, range(first, last))
-        verdict = hull_membership(np.array(rhos), system)[235 - first]
-        alone = hull_membership(rhos[235 - first], system)
+        rhos = perturbed(6, range(last))
+        verdict = hull_membership(np.array(rhos), system)[235]
+        alone = hull_membership(rhos[235], system)
         assert not verdict.member and not alone.member
         assert abs(verdict.distance - alone.distance) <= 1e-15
         assert abs(verdict.distance - 0.022795728761780557) <= 1e-12
@@ -193,6 +193,26 @@ def test_sample_235_margin_does_not_depend_on_the_probe_length(tmp_path):
         assert report.solver_failures == 0
         margins.append(manifest["candidates"][0]["margin"])
     assert abs(margins[0] - margins[1]) <= 1e-15
+
+
+@pytest.mark.parametrize("mode", ["perturb", "ginibre", "hull"])
+def test_a_probe_report_does_not_depend_on_its_stack_height(tmp_path, monkeypatch, mode):
+    # Each stacked row gets the bits it gets alone, so a probe's report and
+    # archive are the same in one stack of the whole call, in stacks of one
+    # and in stacks of 13, the last one ragged. The perturbation probe
+    # archives sample 235.
+    config = SampleConfig(d=6, seed=12721, n_samples=250, mode=mode)
+    assert stack_height(6) >= config.n_samples
+    runs = []
+    for height in (None, 1, 13):
+        if height is not None:
+            monkeypatch.setattr(harness, "stack_height", lambda d: height)
+        out = tmp_path / str(height)
+        report = probe_conjecture(config, out_dir=out)
+        archive = {path.name: path.read_bytes() for path in sorted(out.glob("*"))} if out.exists() else {}
+        runs.append((report.counts, report.worst_margin.hex(), report.solver_failures, archive))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert sorted(runs[0][3]) == (["counterexample_00235.json", "manifest.json"] if mode == "perturb" else [])
 
 
 def test_a_row_at_the_iteration_cap_fails_alone(monkeypatch):
@@ -319,7 +339,7 @@ def test_h_is_one_right_hand_side_or_a_stack_of_them(shape):
 
 
 def test_stack_heights_from_the_byte_budget():
-    assert [stack_height(d) for d in (6, 9, 12, 16, 30)] == [157, 125, 18, 14, 1]
+    assert [stack_height(d) for d in (2, 6, 9, 12, 16, 30, 48)] == [2427, 280, 199, 39, 31, 5, 1]
     for families in (0, -1):  # no projectors to estimate
         with pytest.raises(ValueError, match="at least one family"):
             setup_bytes(6, "span-rank", families)
