@@ -27,6 +27,7 @@ from kdclassical import (
     sample_kd_boundary,
     span_project,
 )
+from kdclassical import geometry
 from kdclassical.families import all_projectors, lettered_families, prime_pair
 from kdclassical.geometry import hull_system, reconstruct, stack_real
 from kdclassical.solver import simplex_least_squares
@@ -330,6 +331,20 @@ def test_membership_trivial_convex_combination():
     assert verdict.distance <= 1e-10
     assert verdict.certificate is not None
     assert abs(verdict.certificate.coefficient_sum - 1.0) <= 1e-9
+    assert verdict.certificate.labels == tuple(labels)
+
+
+@pytest.mark.parametrize("count", [1, 11, 13])
+def test_membership_refuses_a_label_count_that_is_not_the_projector_count(monkeypatch, count):
+    projs, labels = all_projectors(pure_kd_set(dft_pair(4)))
+    assert len(projs) == 12
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(geometry, "simplex_least_squares", no_solve)
+    with pytest.raises(ValueError, match=f"{count} labels for 12 projectors"):
+        hull_membership(np.eye(4) / 4, projs, labels=(labels * 2)[:count])
 
 
 def test_membership_nonclassical_state_excluded():
