@@ -189,9 +189,14 @@ def lettered_families(pair: BasisPair, letters: str = "ABCD") -> dict[str, PureF
     return families
 
 
-def all_projectors(families) -> tuple[list[np.ndarray], list[str]]:
+class ProjectorList(list):
+    """The projector list of :func:`all_projectors`, which may carry the hull system last built from it."""
+    kept_system = None  # set by geometry.hull_membership
+
+
+def all_projectors(families) -> tuple[ProjectorList, list[str]]:
     """Flatten families into parallel projector/label lists."""
-    projectors: list[np.ndarray] = []
+    projectors = ProjectorList()
     labels: list[str] = []
     for fam in families:
         projectors.extend(fam.projectors())

@@ -23,7 +23,7 @@ from .exceptions import (
     NotInSpan,
     NotUnitTrace,
 )
-from .families import PureFamily, family_states, lettered_families, member_labels, prime_pair
+from .families import ProjectorList, PureFamily, family_states, lettered_families, member_labels, prime_pair
 from .linalg import DEFAULT_TOL, INPUT_GATE_TOL, Tolerances, _checked, as_matrix, require_hermitian
 from .solver import simplex_least_squares
 
@@ -388,9 +388,10 @@ def hull_membership(
     :class:`HullSystem` built with :func:`hull_system` from either when many
     states are tested against it; a state of another dimension raises
     MixedDimensions before any arithmetic on it. A list is checked on every
-    call; one whose states equal the last list's bit for bit is decided on
-    the system kept from it, with no new Gram or ``eigh`` (it keeps about
-    21 KB at d = 9, 1.5 MB at d = 30). ``labels``: one per projector.
+    call; the one :func:`~kdclassical.families.all_projectors` returns keeps
+    the system its last query built while the list lives (about 21 KB at
+    d = 9, 1.5 MB at d = 30), reused while the states are the same bit for
+    bit; any other list builds one per call. ``labels``: one per projector.
 
     Every system takes one path. The solver works on the Gram and h_k =
     <psi_k|rho|psi_k>, from the system's state vectors. Its first step is the
@@ -409,7 +410,7 @@ def hull_membership(
     its verdict or raises SolverDidNotConverge (the failure convention of
     :mod:`~kdclassical.solver`).
     """
-    system = projectors if isinstance(projectors, HullSystem) else _kept_if_equal(hull_system(projectors))
+    system = projectors if isinstance(projectors, HullSystem) else _list_system(projectors)
     n = system.states.shape[1]
     labels = _index_labels(n) if labels is None else tuple(labels)
     if len(labels) != n:
@@ -443,18 +444,15 @@ def hull_membership(
     return verdicts if a.ndim == 3 else verdicts[0]
 
 
-_kept_list_system: HullSystem | None = None
-
-
-def _kept_if_equal(system: HullSystem) -> HullSystem:
-    """The kept list-built system if its states equal ``system``'s as integers (-0.0 != 0.0), else ``system``, kept; families are not kept."""
-    global _kept_list_system
-    if system.weights is not None:
+def _list_system(projectors) -> HullSystem:
+    """``hull_system(projectors)``, or the system kept on a ProjectorList if its states equal the new one's as integers (-0.0 != 0.0)."""
+    system = hull_system(projectors)  # every check, on every call
+    if not isinstance(projectors, ProjectorList):
         return system
-    kept = _kept_list_system
+    kept = projectors.kept_system
     if kept is not None and np.array_equal(kept.states.view(np.int64), system.states.view(np.int64)):
         return kept
-    _kept_list_system = system
+    projectors.kept_system = system
     return system
 
 

@@ -1,18 +1,21 @@
-"""A projector list's system is kept between ``hull_membership`` calls.
+"""The list ``all_projectors`` returns keeps its hull system between ``hull_membership`` calls.
 
-Every call checks the list and extracts its states again; a list whose
-states equal the kept system's bit for bit is decided on that system, with
-the Gram, pseudo-inverse and kernel it has computed. Any other list gets a
-system of its own, which is kept in turn.
+Every call checks the list and extracts its states again; when they equal
+the kept system's bit for bit the query is decided on that system, with the
+Gram, pseudo-inverse and kernel it has computed. The system lives on the
+list, so any other list, and a plain list always, gets a system of its own.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from kdclassical import SampleConfig, dft_pair, hull_membership, kd_real_basis, pure_kd_set, sample_kd_boundary
-from kdclassical.families import all_projectors
+from kdclassical.families import ProjectorList, all_projectors
 from kdclassical.geometry import hull_system
 
 
@@ -58,15 +61,9 @@ class EighCounter:
         monkeypatch.setattr(np.linalg, "eigh", counted)
 
 
-def evict():
-    """Query another list, so that no earlier test's system is kept."""
-    hull_membership(np.eye(2) / 2, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-
-
 def test_certify_d9_queries_against_one_list_make_one_eigh(monkeypatch):
     projs, _ = projector_list(9)
     states = certify_states(9, 12721, 200)
-    evict()
     counter = EighCounter(monkeypatch)
     for rho in states:
         assert hull_membership(rho, projs).member
@@ -83,9 +80,8 @@ def test_kept_verdicts_are_those_of_a_fresh_system(d):
 @pytest.mark.parametrize("how", ["list item", "array entries"])
 def test_a_projector_replaced_in_place_gives_a_new_system(monkeypatch, how):
     projs, _ = projector_list(4)
-    projs = [p.copy() for p in projs]
+    projs = ProjectorList(p.copy() for p in projs)
     rho = certify_states(4, 12721, 1)[0]
-    evict()
     counter = EighCounter(monkeypatch)
     before = hull_membership(rho, projs)
     k = int(before.certificate.coefficients.argmax())
@@ -102,24 +98,23 @@ def test_a_projector_replaced_in_place_gives_a_new_system(monkeypatch, how):
 def test_a_list_that_differs_only_in_the_sign_of_a_zero_is_rebuilt(monkeypatch):
     projs, labels = projector_list(4)
     k = labels.index("A[0]")  # |0><0|, whose state is read from column 0
-    signed = list(projs)
-    signed[k] = projs[k].copy()
-    signed[k][1, 0] = complex(0.0, -0.0)  # division by the pivot keeps the sign of an imaginary zero
-    plain, negative = hull_system(projs).states, hull_system(signed).states
-    assert np.array_equal(plain, negative) and not np.array_equal(bits(plain), bits(negative))
+    projs[k] = projs[k].copy()
+    plain = hull_system(projs).states
     rho = certify_states(4, 12721, 1)[0]
-    evict()
     counter = EighCounter(monkeypatch)
     hull_membership(rho, projs)
-    hull_membership(rho, signed)
-    hull_membership(rho, signed)
+    projs[k][1, 0] = complex(0.0, -0.0)  # division by the pivot keeps the sign of an imaginary zero
+    negative = hull_system(projs).states
+    assert np.array_equal(plain, negative) and not np.array_equal(bits(plain), bits(negative))
+    hull_membership(rho, projs)
+    hull_membership(rho, projs)
     assert counter.calls == 2
 
 
 @pytest.mark.parametrize("bad", ["rank two", "nan"])
 def test_a_bad_list_after_a_valid_one_of_its_shape_is_refused(bad):
     projs, labels = projector_list(4)
-    projs = [p.copy() for p in projs]
+    projs = ProjectorList(p.copy() for p in projs)
     rho = certify_states(4, 12721, 1)[0]
     assert hull_membership(rho, projs).member
     if bad == "rank two":  # the same list, broken in place
@@ -131,25 +126,43 @@ def test_a_bad_list_after_a_valid_one_of_its_shape_is_refused(bad):
             hull_membership(rho, projs)
 
 
-def test_alternating_two_lists_gives_each_its_own_verdicts():
+def test_alternating_two_lists_gives_each_its_own_verdicts(monkeypatch):
     projs, _ = projector_list(9)
-    reordered = projs[::-1]
+    reordered = ProjectorList(projs[::-1])
     fresh = {id(projs): hull_system(projs), id(reordered): hull_system(reordered)}
+    counter = EighCounter(monkeypatch)
     for rho in certify_states(9, 12721, 10):
         for source in (projs, reordered, projs):
             same_verdict(hull_membership(rho, source), hull_membership(rho, fresh[id(source)]))
+    assert counter.calls == 4  # one per list and one per fresh system
 
 
-def test_a_family_list_is_not_kept(monkeypatch):
-    # At d = 4 the families' states equal the projector list's bit for bit; the list still gets a system of its own.
-    families = list(pure_kd_set(dft_pair(4)))
-    projs, _ = all_projectors(families)
+def test_equal_lists_keep_systems_of_their_own():
+    first, _ = projector_list(4)
+    second, _ = projector_list(4)
     rho = certify_states(4, 12721, 1)[0]
-    evict()
-    hull_membership(rho, families)
+    hull_membership(rho, first)
+    hull_membership(rho, second)
+    assert first.kept_system is not second.kept_system
+
+
+def test_a_plain_list_is_not_kept(monkeypatch):
+    projs, _ = projector_list(4)
+    plain = list(projs)
+    rho = certify_states(4, 12721, 1)[0]
     counter = EighCounter(monkeypatch)
-    hull_membership(rho, projs)
-    assert counter.calls == 1  # the list system's pinv_gram
+    for _ in range(3):
+        hull_membership(rho, plain)
+    assert counter.calls == 3
+
+
+def test_the_kept_system_lives_as_long_as_its_list():
+    projs, _ = projector_list(9)
+    hull_membership(certify_states(9, 12721, 1)[0], projs)
+    kept = weakref.ref(projs.kept_system)
+    del projs
+    gc.collect()
+    assert kept() is None
 
 
 def test_hull_system_returns_a_fresh_system():
