@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,8 @@ def default_tolerances() -> Tolerances:
         raise ValidationError(f"bad KD_DEFAULT_TOL value {override!r}: {exc}") from exc
 
 
-def _load_matrix(path: str):
+def _load_matrix(path: str, d: int | None = None):
+    """The matrix in the file at ``path``; with ``d`` given, a matrix of another dimension is refused."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -54,13 +56,21 @@ def _load_matrix(path: str):
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        return matrix_from_json(doc)
+        rho = matrix_from_json(doc)
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    if d is not None and d != rho.shape[0]:
+        raise ValidationError(f"state has dimension {rho.shape[0]}, --d says {d}")
+    return rho
 
 
 def _write_json(path: str | Path, doc) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
+
+
+def _say(args, doc: dict, prose) -> None:
+    """Print ``doc`` as JSON under ``--json``, else the prose line."""
+    print(json.dumps(doc) if args.json else prose)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,18 +137,13 @@ def _cmd_dft(args) -> int:
     require_memory(args.d, "dft")
     pair = dft_pair(args.d)
     _write_json(args.out, matrix_to_json(pair.transition))
-    if args.json:
-        print(json.dumps({"d": args.d, "out": args.out}))
-    else:
-        print(f"wrote {args.d}x{args.d} transition matrix to {args.out}")
+    _say(args, {"d": args.d, "out": args.out}, f"wrote {args.d}x{args.d} transition matrix to {args.out}")
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
-    rho = _load_matrix(args.state)
+    rho = _load_matrix(args.state, args.d)
     d = rho.shape[0]
-    if args.d is not None and args.d != d:
-        raise ValidationError(f"state has dimension {d}, --d says {args.d}")
     table = kd_table(rho, dft_pair(d))
     if args.json:
         values = matrix_to_json(table.values)["entries"]
@@ -184,10 +189,7 @@ def _cmd_pure(args) -> int:
         name = "family_" + fam.label.replace("(", "_").replace(")", "").replace(",", "_") + ".json"
         _write_json(out / name, doc)
         written.append(name)
-    if args.json:
-        print(json.dumps({"d": args.d, "files": written}))
-    else:
-        print(f"wrote {len(written)} families to {out}")
+    _say(args, {"d": args.d, "files": written}, f"wrote {len(written)} families to {out}")
     return EXIT_OK
 
 
@@ -203,10 +205,7 @@ def _cmd_categories(args) -> int:
 
 def _cmd_real_dim(args) -> int:
     dim = kd_real_dimension(args.d)
-    if args.json:
-        print(json.dumps({"d": args.d, "real_dimension": dim}))
-    else:
-        print(dim)
+    _say(args, {"d": args.d, "real_dimension": dim}, dim)
     return EXIT_OK
 
 
@@ -221,10 +220,7 @@ def _cmd_span_rank(args) -> int:
     else:
         projectors = [p for fam in lettered_families(pair, chosen).values() for p in fam.projectors()]
     rank = real_span_rank(projectors)
-    if args.json:
-        print(json.dumps({"d": args.d, "sets": chosen, "rank": rank}))
-    else:
-        print(rank)
+    _say(args, {"d": args.d, "sets": chosen, "rank": rank}, rank)
     return EXIT_OK
 
 
@@ -251,10 +247,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_member(args) -> int:
-    rho = _load_matrix(args.state)
+    rho = _load_matrix(args.state, args.d)
     d = rho.shape[0]
-    if args.d is not None and args.d != d:
-        raise ValidationError(f"state has dimension {d}, --d says {args.d}")
     require_memory(d, "member")
     families = pure_kd_set(dft_pair(d))
     labels = [label for fam in families for label in fam.labels()]
@@ -280,11 +274,7 @@ def _cmd_verify(args) -> int:
     require_memory(args.d, "verify")
     results = run_dimension_suite(args.d)
     if args.json:
-        print(
-            json.dumps(
-                [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-            )
-        )
+        print(json.dumps([asdict(r) for r in results]))
     else:
         width = max(len(r.name) for r in results)
         for r in results:
@@ -316,18 +306,12 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but a numerical failure
+    except (np.linalg.LinAlgError, SolverDidNotConverge) as exc:  # LinAlgError is a ValueError, but numerical
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
+    except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SolverDidNotConverge as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
 
 
 def main() -> None:

@@ -8,7 +8,7 @@ distribution: entrywise real and nonnegative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -49,12 +49,7 @@ class ClassicalityVerdict:
     witness: tuple[int, int] | None
 
     def to_json(self) -> dict:
-        return {
-            "classical": self.classical,
-            "min_real": self.min_real,
-            "max_imag_abs": self.max_imag_abs,
-            "witness": None if self.witness is None else list(self.witness),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,7 @@ def pure_kd_set(pair: BasisPair) -> list[PureFamily]:
 
 
 def lettered_families(pair: BasisPair, letters: str = "ABCD") -> dict[str, PureFamily]:
-    """The families named by ``letters``, in that order.
+    """The families named by ``letters``, in that order; a letter named twice raises ValueError.
 
     A is the a-basis (d,1) and B the b-basis (1,d). C = PSI(p,q) and
     D = PHI(q,p), a transposed pair, exist only at d = pq with p < q prime;
@@ -185,6 +185,8 @@ def lettered_families(pair: BasisPair, letters: str = "ABCD") -> dict[str, PureF
             raise ValueError(f"no family named {letter!r}; the letters are A, B, C, D")
         if letter not in shapes:
             raise BadDimension(f"no family named {letter!r} at d={d}: C and D need d = pq with p < q prime")
+        if letter in families:
+            raise ValueError(f"family {letter!r} is named twice in {letters!r}")
         families[letter] = build_family(pair, *shapes[letter])
     return families
 

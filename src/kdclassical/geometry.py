@@ -270,6 +270,15 @@ def quadruple_conditions_p2(table: KDTable, p: int, tol: float = 1e-9) -> bool:
     return quadruple_violation(table, p) <= tol
 
 
+def _require_classical(table: KDTable, tol: Tolerances) -> None:
+    """Raise NotClassical unless the table is classical within ``tol``: the gate of both decompositions."""
+    verdict = classicality(table, tol)
+    if not verdict.classical:
+        raise NotClassical(
+            f"table has min real {verdict.min_real:.3e}, max |imag| {verdict.max_imag_abs:.3e}"
+        )
+
+
 def decompose_p2(
     rho: np.ndarray, pair: BasisPair, p: int, tol: Tolerances = DEFAULT_TOL
 ) -> DecompositionCertificate:
@@ -286,11 +295,7 @@ def decompose_p2(
     if d != p * p:
         raise BadDimension(f"basis dim {d} is not {p}^2")
     table = kd_table(rho, pair)
-    verdict = classicality(table, tol)
-    if not verdict.classical:
-        raise NotClassical(
-            f"table has min real {verdict.min_real:.3e}, max |imag| {verdict.max_imag_abs:.3e}"
-        )
+    _require_classical(table, tol)
     violation = quadruple_violation(table, p)
     if violation > tol.classicality:
         raise ConditionsFailed(f"quadruple identities violated by {violation:.3e}")
@@ -350,11 +355,7 @@ def decompose_pq_three(
     span_residual = system.off_span_distance(weyl)
     if span_residual > tol.recon:
         raise NotInSpan(f"projection residual {span_residual:.3e} exceeds {tol.recon:.1e}")
-    verdict = classicality(kd_table(rho, pair), tol)
-    if not verdict.classical:
-        raise NotClassical(
-            f"table has min real {verdict.min_real:.3e}, max |imag| {verdict.max_imag_abs:.3e}"
-        )
+    _require_classical(kd_table(rho, pair), tol)
 
     parts = dict(zip(chosen, np.split(system.min_norm_coefficients(weyl), 3)))
     idx = np.arange(d)

@@ -37,7 +37,7 @@ import numbers
 import os
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
 
@@ -94,14 +94,7 @@ class ProbeReport:
     notes: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "counts": dict(self.counts),
-            "worst_margin": self.worst_margin,
-            "counterexample_files": list(self.counterexample_files),
-            "runtime_ms": self.runtime_ms,
-            "solver_failures": self.solver_failures,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), whose stream
@@ -592,12 +585,7 @@ def _archive(config: SampleConfig, candidates, out_dir: Path) -> list[str]:
         "seed": config.seed,
         "mode": config.mode,
         "n_samples": config.n_samples,
-        "tolerances": {
-            "eig_psd": config.tolerances.eig_psd,
-            "classicality": config.tolerances.classicality,
-            "rank_rel": config.tolerances.rank_rel,
-            "recon": config.tolerances.recon,
-        },
+        "tolerances": asdict(config.tolerances),
         "candidates": entries,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False), encoding="utf-8")

@@ -10,7 +10,7 @@ with exactly ``d*d`` row-major pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,9 +33,9 @@ class Tolerances:
     recon: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("eig_psd", "classicality", "rank_rel", "recon"):
-            if not 0.0 < getattr(self, name) < float("inf"):  # also False for NaN
-                raise ValueError(f"tolerance {name} must be finite and strictly positive")
+        for f in fields(self):
+            if not 0.0 < getattr(self, f.name) < float("inf"):  # also False for NaN
+                raise ValueError(f"tolerance {f.name} must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
@@ -152,6 +152,8 @@ def matrix_from_json(doc: dict) -> np.ndarray:
         raise ValueError(f"expected a list of {d * d} entries, got {got}")
     if not all(isinstance(pair, list) and len(pair) == 2 for pair in entries):
         raise ValueError("each entry must be a [re, im] pair")
+    if any(isinstance(x, bool) for pair in entries for x in pair):
+        raise ValueError("entry components must be numbers, got a boolean")
     try:
         flat = np.array([complex(float(re), float(im)) for re, im in entries])
     except (TypeError, ValueError) as exc:

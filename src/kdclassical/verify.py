@@ -34,7 +34,19 @@ PROBE_SEED = 12721
 # Closed-form span-rank pins per dimension.
 P2_RANKS = {4: 8, 9: 21, 25: 65}
 PQ_RANKS = {6: (15, 13), 10: (27, 23), 15: (45, 37)}
-CATEGORY_COUNTS = {5: 3, 6: 7, 9: 7}
+# Pinned entry partitions per dimension: the category count (diagonal
+# included), the sorted category sizes in entries, the detail's label for the
+# named categories, and those categories as (cells, conjugate cells, is_real).
+CATEGORY_PINS = {
+    5: (3, [10, 10], "shift-pair memberships", {
+        (frozenset((i, (i + k) % 5) for i in range(5)), frozenset((i, (i - k) % 5) for i in range(5)), False)
+        for k in (1, 2)
+    }),
+    6: (7, [2, 2, 2, 6, 6, 12], "real {(0,3),(3,0)} category", {(frozenset({(0, 3), (3, 0)}), frozenset(), True)}),
+    9: (7, [6, 6, 6, 18, 18, 18], "(0,3)-(3,6)-(6,0) grouping", {
+        (frozenset({(0, 3), (3, 6), (6, 0)}), frozenset({(0, 6), (3, 0), (6, 3)}), False)
+    }),
+}
 
 
 @dataclass(frozen=True)
@@ -76,49 +88,17 @@ def check_rank_pins(d: int) -> CheckResult | None:
 
 def check_categories(d: int) -> CheckResult | None:
     """Category counts, sizes, and cell memberships of the entry partition."""
-    if d not in CATEGORY_COUNTS:
+    if d not in CATEGORY_PINS:
         return None
+    count, sizes, label, named = CATEGORY_PINS[d]
     part = entry_partition(d)
-    ok = part.category_count == CATEGORY_COUNTS[d]
-    detail = f"{part.category_count} categories, expected {CATEGORY_COUNTS[d]}"
-
-    def entries(cat):
-        return len(cat.cells) + len(cat.conjugate_cells)
-
-    sizes = sorted(entries(c) for c in part.categories)
-    if d == 5:
-        # one category per shift pair {1,4} and {2,3}, ten entries each
-        shift1 = next(c for c in part.categories if (0, 1) in c.cells)
-        shift2 = next(c for c in part.categories if (0, 2) in c.cells)
-        good = (
-            sizes == [10, 10]
-            and set(shift1.cells) == {(i, (i + 1) % 5) for i in range(5)}
-            and set(shift1.conjugate_cells) == {(i, (i + 4) % 5) for i in range(5)}
-            and set(shift2.cells) == {(i, (i + 2) % 5) for i in range(5)}
-            and set(shift2.conjugate_cells) == {(i, (i + 3) % 5) for i in range(5)}
-        )
-        ok = ok and good
-        detail += "; shift-pair memberships " + ("ok" if good else "WRONG")
-    if d == 9:
-        cat = next(c for c in part.categories if (0, 3) in c.cells)
-        good = (
-            sizes == [6, 6, 6, 18, 18, 18]
-            and set(cat.cells) == {(0, 3), (3, 6), (6, 0)}
-            and set(cat.conjugate_cells) == {(0, 6), (3, 0), (6, 3)}
-            and not cat.is_real
-        )
-        ok = ok and good
-        detail += "; (0,3)-(3,6)-(6,0) grouping " + ("ok" if good else "WRONG")
-    if d == 6:
-        cat = next(c for c in part.categories if (0, 3) in c.cells)
-        good = (
-            sizes == [2, 2, 2, 6, 6, 12]
-            and set(cat.cells) == {(0, 3), (3, 0)}
-            and cat.is_real
-        )
-        ok = ok and good
-        detail += "; real {(0,3),(3,0)} category " + ("ok" if good else "WRONG")
-    return CheckResult(name=f"entry categories (d={d})", passed=ok, detail=detail)
+    have = {(frozenset(c.cells), frozenset(c.conjugate_cells), c.is_real) for c in part.categories}
+    good = sorted(len(c.cells) + len(c.conjugate_cells) for c in part.categories) == sizes and named <= have
+    return CheckResult(
+        name=f"entry categories (d={d})",
+        passed=part.category_count == count and good,
+        detail=f"{part.category_count} categories, expected {count}; {label} " + ("ok" if good else "WRONG"),
+    )
 
 
 def hermitian_sample_battery(d: int, n: int, seed: int = EQUIVALENCE_SEED):
@@ -246,6 +226,11 @@ def _prime_root(d: int) -> int | None:
     return p if p * p == d and len(factorizations(p)) == 2 else None
 
 
+def _certified(cert) -> bool:
+    """The round trips' test of a certificate: residual < 1e-9, nonnegative coefficients summing to 1 within 1e-9."""
+    return cert.residual < 1e-9 and cert.coefficients.min() >= 0.0 and abs(cert.coefficient_sum - 1.0) <= 1e-9
+
+
 def check_p2_roundtrip(d: int, n: int = 500) -> CheckResult:
     """Perturbation samples at d = p^2, p prime: conditions, decomposition, membership."""
     p = _prime_root(d)
@@ -267,12 +252,7 @@ def check_p2_roundtrip(d: int, n: int = 500) -> CheckResult:
         membership = hull_membership(rho, system)
         if not membership.member:
             not_member += 1
-        if not (
-            cert.residual < 1e-9
-            and cert.coefficients.min() >= 0.0
-            and abs(cert.coefficient_sum - 1.0) <= 1e-9
-            and membership.member
-        ):
+        if not (_certified(cert) and membership.member):
             failures.append(
                 f"sample {index}: residual {cert.residual:.2e}, member {membership.member}"
             )
@@ -314,11 +294,7 @@ def check_pq_three_decomposition(d: int, n: int = 200, sets=("B", "C", "D")) -> 
         rho = (states * rng.dirichlet(np.ones(states.shape[1]))) @ states.conj().T
         cert = decompose_pq_three(rho, pair, sets=sets)
         worst = max(worst, cert.residual)
-        if not (
-            cert.residual < 1e-9
-            and cert.coefficients.min() >= 0.0
-            and abs(cert.coefficient_sum - 1.0) <= 1e-9
-        ):
+        if not _certified(cert):
             failures += 1
     return CheckResult(
         name=f"three-family decomposition (d={d}, sets={''.join(sets)}, n={n})",

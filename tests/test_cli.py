@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -122,6 +123,15 @@ def test_malformed_entries_exit_2(tmp_path, capsys, command):
         assert captured.out == "" and "entr" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["check", "member"])
+def test_boolean_entry_components_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"d": 2, "entries": [[True, 0], [0, 0], [0, 0], [0.5, 0]]}), encoding="utf-8")
+    assert run([command, "--state", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "boolean" in captured.err
+
+
 def test_non_integer_dimension_exits_2(tmp_path, capsys):
     doc = matrix_to_json(np.eye(2) / 2)
     doc["d"] = 2.7
@@ -187,6 +197,12 @@ def test_span_rank(capsys):
     assert run(["span-rank", "--d", "6", "--sets", "BCD", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["rank"] == 13
     assert run(["span-rank", "--d", "5", "--sets", "CD"]) == 2
+
+
+def test_span_rank_refuses_a_repeated_family_letter(capsys):
+    assert run(["span-rank", "--d", "6", "--sets", "AA", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "named twice" in captured.err and captured.out == ""
 
 
 def test_span_rank_rejects_empty_sets(capsys):
@@ -342,6 +358,36 @@ def test_square_round_trip_fails_with_the_reason_decompose_p2_gives(monkeypatch)
     result = verify.check_p2_roundtrip(4, n=3)
     assert not result.passed
     assert result.detail == f"1 failures, 0 classical-not-member; first: sample 1: {info.value}"
+
+
+def _moved(categories, cell, src, dst):
+    """The categories with ``cell`` moved from categories[src] into categories[dst]."""
+    cats = list(categories)
+    cats[src] = dataclasses.replace(cats[src], cells=tuple(c for c in cats[src].cells if c != cell))
+    cats[dst] = dataclasses.replace(cats[dst], cells=cats[dst].cells + (cell,))
+    return tuple(cats)
+
+
+@pytest.mark.parametrize("d", [5, 6, 9])
+@pytest.mark.parametrize("swap", [False, True])
+def test_category_check_fails_when_a_cell_changes_category(monkeypatch, d, swap):
+    # Moving one cell changes two category sizes; swapping two cells between same-size
+    # categories keeps the sizes, so only the pinned memberships can catch it.
+    from kdclassical import verify
+    from kdclassical.kdreal import entry_partition
+
+    part = entry_partition(d)
+    assert verify.check_categories(d).passed
+    cats = part.categories
+    src = next(i for i, c in enumerate(cats) if (0, {5: 1, 6: 3, 9: 3}[d]) in c.cells)
+    size = len(cats[src].cells) + len(cats[src].conjugate_cells)
+    dst = next(i for i, c in enumerate(cats) if i != src and len(c.cells) + len(c.conjugate_cells) == size)
+    moved = _moved(cats, cats[src].cells[0], src, dst)
+    if swap:
+        moved = _moved(moved, cats[dst].cells[0], dst, src)
+    monkeypatch.setattr(verify, "entry_partition", lambda n: dataclasses.replace(part, categories=moved))
+    result = verify.check_categories(d)
+    assert not result.passed and "WRONG" in result.detail
 
 
 def test_decompose_p2_refuses_a_dimension_that_is_not_square(tmp_path, capsys):

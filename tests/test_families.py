@@ -258,3 +258,10 @@ def test_family_states_are_read_only():
     assert not family_states(6, 3, 2).flags.writeable  # cached: every caller shares the matrix
     with pytest.raises(ValueError):
         family.states[0, 0] = 0.0
+
+
+def test_lettered_families_refuse_a_repeated_letter():
+    with pytest.raises(ValueError, match="named twice"):
+        lettered_families(dft_pair(6), "AA")
+    with pytest.raises(ValueError, match="named twice"):
+        lettered_families(dft_pair(6), "BCB")

@@ -194,3 +194,9 @@ def test_hermitian_check_of_a_stack_names_any_bad_member():
         require_hermitian(np.zeros((0, 3, 3)), 1e-12)
     with pytest.raises(ValueError, match="non-finite"):
         require_hermitian(np.full((2, 3, 3), np.nan), 1e-12)
+
+
+def test_matrix_from_json_refuses_boolean_components():
+    for entries in ([[True, 0], [0, 0], [0, 0], [0.5, 0]], [[0.5, 0], [0, False], [0, 0], [0.5, 0]]):
+        with pytest.raises(ValueError, match="boolean"):
+            matrix_from_json({"d": 2, "entries": entries})
