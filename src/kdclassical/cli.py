@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 validation error (bad input file, dimension
-mismatch, failed precondition), 3 negative verdict from ``verify``,
+mismatch, failed precondition, an output path that cannot be written), 3 negative verdict from ``verify``,
 4 solver failure (non-convergence or a numpy ``LinAlgError``).
 Human-readable messages go to stderr; ``--json`` switches stdout to
 machine-readable JSON where a subcommand has a prose default. The environment variable ``KD_DEFAULT_TOL``
@@ -83,51 +83,56 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("dft", parents=[common], help="write the transition matrix of one dimension")
+    def command(name, handler, summary):
+        sp = sub.add_parser(name, parents=[common], help=summary)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = command("dft", _cmd_dft, "write the transition matrix of one dimension")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("table", parents=[common], help="quasiprobability table of a state, as CSV")
+    sp = command("table", _cmd_table, "quasiprobability table of a state, as CSV")
     sp.add_argument("--state", required=True)
     sp.add_argument("--d", type=int, default=None)
     sp.add_argument("--csv", default=None)
 
-    sp = sub.add_parser("check", parents=[common], help="classicality verdict of a state, as JSON")
+    sp = command("check", _cmd_check, "classicality verdict of a state, as JSON")
     sp.add_argument("--state", required=True)
 
-    sp = sub.add_parser("pure", parents=[common], help="write every classical pure-state family")
+    sp = command("pure", _cmd_pure, "write every classical pure-state family")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--out", required=True)
 
-    sp = sub.add_parser("categories", parents=[common], help="entry partition of the real-table space")
+    sp = command("categories", _cmd_categories, "entry partition of the real-table space")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--render", action="store_true")
 
-    sp = sub.add_parser("real-dim", parents=[common], help="dimension of the real-table operator space")
+    sp = command("real-dim", _cmd_real_dim, "dimension of the real-table operator space")
     sp.add_argument("--d", type=int, required=True)
 
-    sp = sub.add_parser("span-rank", parents=[common], help="real span rank of chosen families")
+    sp = command("span-rank", _cmd_span_rank, "real span rank of chosen families")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--sets", default=None, help="subset of ABCD, default all families")
 
-    sp = sub.add_parser("decompose", parents=[common], help="constructive convex decomposition")
+    sp = command("decompose", _cmd_decompose, "constructive convex decomposition")
     sp.add_argument("--state", required=True)
     sp.add_argument("--mode", choices=("p2", "pq3"), required=True)
     sp.add_argument("--sets", default="BCD", help="three of ABCD for pq3 mode")
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("member", parents=[common], help="hull membership against all families")
+    sp = command("member", _cmd_member, "hull membership against all families")
     sp.add_argument("--state", required=True)
     sp.add_argument("--d", type=int, default=None)
 
-    sp = sub.add_parser("probe", parents=[common], help="seeded conjecture probe")
+    sp = command("probe", _cmd_probe, "seeded conjecture probe")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--mode", choices=MODES, required=True)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("verify", parents=[common], help="run the acceptance checks for one dimension")
+    sp = command("verify", _cmd_verify, "run the acceptance checks for one dimension")
     sp.add_argument("--d", type=int, required=True)
 
     return parser
@@ -196,10 +201,7 @@ def _cmd_pure(args) -> int:
 def _cmd_categories(args) -> int:
     require_memory(args.d, "categories")
     part = entry_partition(args.d)
-    if args.render:
-        print(render_partition(part))
-        return EXIT_OK
-    print(json.dumps(part.to_json()))
+    print(render_partition(part) if args.render else json.dumps(part.to_json()))
     return EXIT_OK
 
 
@@ -213,7 +215,7 @@ def _cmd_span_rank(args) -> int:
     chosen = "all" if args.sets is None else args.sets.upper()
     if not chosen:
         raise ValueError("--sets names no family; give letters among A, B, C, D")
-    require_memory(args.d, "span-rank", families=None if args.sets is None else len(set(chosen)))
+    require_memory(args.d, "span-rank", families=None if args.sets is None else len(chosen))
     pair = dft_pair(args.d)
     if args.sets is None:
         projectors = all_projectors(pure_kd_set(pair))[0]
@@ -235,8 +237,7 @@ def _cmd_decompose(args) -> int:
             raise ValidationError(f"state dimension {d} is not a perfect square")
         cert = decompose_p2(rho, pair, p, tol)
     else:
-        sets = tuple(args.sets.upper())
-        cert = decompose_pq_three(rho, pair, sets=sets, tol=tol)
+        cert = decompose_pq_three(rho, pair, sets=args.sets.upper(), tol=tol)
     doc = cert.to_json()
     if args.out is not None:
         _write_json(args.out, doc)
@@ -285,31 +286,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERDICT
 
 
-_COMMANDS = {
-    "dft": _cmd_dft,
-    "table": _cmd_table,
-    "check": _cmd_check,
-    "pure": _cmd_pure,
-    "categories": _cmd_categories,
-    "real-dim": _cmd_real_dim,
-    "span-rank": _cmd_span_rank,
-    "decompose": _cmd_decompose,
-    "member": _cmd_member,
-    "probe": _cmd_probe,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: list[str]) -> int:
     """Dispatch one invocation; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (np.linalg.LinAlgError, SolverDidNotConverge) as exc:  # LinAlgError is a ValueError, but numerical
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -325,7 +325,7 @@ def _certificate(rho, states: np.ndarray, labels, coeffs) -> DecompositionCertif
 def decompose_pq_three(
     rho: np.ndarray,
     pair: BasisPair,
-    sets: tuple[str, str, str] = ("B", "C", "D"),
+    sets: str | tuple[str, str, str] = ("B", "C", "D"),
     tol: Tolerances = DEFAULT_TOL,
 ) -> DecompositionCertificate:
     """Certificate over three of the four families at d = pq, p != q prime.
@@ -344,11 +344,10 @@ def decompose_pq_three(
         raise BadDimension(f"d={d} is not a product of two distinct primes")
     p, q = primes
     chosen = tuple(sets)
-    if len(chosen) != 3 or len(set(chosen)) != 3 or not set(chosen) <= {"A", "B", "C", "D"}:
+    if len(chosen) != 3:
         raise ValueError("sets must be three distinct labels among A, B, C, D")
+    fams = list(lettered_families(pair, sets).values())
     rho = require_hermitian(rho, INPUT_GATE_TOL, d)
-
-    fams = list(lettered_families(pair, chosen).values())
     system = hull_system(fams)  # no hull query is made, so no Gram is built
     labels = [label for fam in fams for label in fam.labels()]
     weyl = weyl_coefficients(rho)

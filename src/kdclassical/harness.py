@@ -210,11 +210,15 @@ def _generators(seed: int, start: int, stop: int) -> Iterator[np.random.Generato
             yield rng
 
 
-def _simplex_mixture(rng: np.random.Generator, projectors) -> np.ndarray:
-    weights = rng.dirichlet(np.ones(len(projectors)))
-    out = np.zeros_like(np.asarray(projectors[0], dtype=np.complex128))
-    for w, proj in zip(weights, projectors):
-        out += w * proj
+def _simplex_mixtures(rngs, projectors) -> np.ndarray:
+    """The (m, d, d) stack of flat-simplex mixtures of the projector list, one Dirichlet draw per generator.
+
+    Each state is summed as if drawn alone: from zeros, one projector at a time in list order.
+    """
+    weights = np.array([rng.dirichlet(np.ones(len(projectors))) for rng in rngs])
+    out = np.zeros((len(weights), *np.shape(projectors[0])), dtype=np.complex128)
+    for k, proj in enumerate(projectors):
+        out += weights[:, k, None, None] * proj
     return out
 
 
@@ -222,7 +226,7 @@ def sample_hull_point(config: SampleConfig, projectors, index: int = 0) -> np.nd
     """One flat-simplex mixture of the projector list; always a density matrix."""
     if not projectors:
         raise ValueError("projector list must be nonempty")
-    return _simplex_mixture(next(_generators(config.seed, index, index + 1)), projectors)
+    return _simplex_mixtures(_generators(config.seed, index, index + 1), projectors)[0]
 
 
 # Singular values of a traceless block at or below this fraction of the
@@ -531,7 +535,7 @@ def probe_conjecture(config: SampleConfig, out_dir: str | Path | None = None) ->
         indices = range(first, min(first + height, config.n_samples))
         draws = islice(rngs, len(indices))
         if config.mode == "hull":
-            states = np.array([_simplex_mixture(rng, projectors) for rng in draws])
+            states = _simplex_mixtures(draws, projectors)
         elif config.mode == "perturb":
             states = np.array([_boundary_draw(rng, directions) for rng in draws])
         else:

@@ -11,7 +11,7 @@ for the space of such operators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,9 +33,9 @@ class EntryCategory:
 
     step: int
     residue: int
+    is_real: bool
     cells: tuple[tuple[int, int], ...]
     conjugate_cells: tuple[tuple[int, int], ...]
-    is_real: bool
 
 
 @dataclass(frozen=True)
@@ -50,20 +50,7 @@ class EntryPartition:
         return len(self.categories) + 1
 
     def to_json(self) -> dict:
-        return {
-            "d": self.dim,
-            "diagonal": [list(c) for c in self.diagonal],
-            "categories": [
-                {
-                    "step": cat.step,
-                    "residue": cat.residue,
-                    "is_real": cat.is_real,
-                    "cells": [list(c) for c in cat.cells],
-                    "conjugate_cells": [list(c) for c in cat.conjugate_cells],
-                }
-                for cat in self.categories
-            ],
-        }
+        return {"d": self.dim, "diagonal": self.diagonal, "categories": [asdict(c) for c in self.categories]}
 
 
 def entry_partition(d: int) -> EntryPartition:
@@ -75,16 +62,10 @@ def entry_partition(d: int) -> EntryPartition:
         g = math.gcd(k, d)
         for r in range(g):
             rows = range(r, d, g)
+            is_real = 2 * k == d
             cells = tuple((i, (i + k) % d) for i in rows)
-            if 2 * k == d:
-                categories.append(
-                    EntryCategory(step=k, residue=r, cells=cells, conjugate_cells=(), is_real=True)
-                )
-            else:
-                conj = tuple((i, (i + d - k) % d) for i in rows)
-                categories.append(
-                    EntryCategory(step=k, residue=r, cells=cells, conjugate_cells=conj, is_real=False)
-                )
+            conj = () if is_real else tuple((i, (i + d - k) % d) for i in rows)
+            categories.append(EntryCategory(k, r, is_real, cells, conj))
     diagonal = tuple((i, i) for i in range(d))
     return EntryPartition(dim=d, categories=tuple(categories), diagonal=diagonal)
 

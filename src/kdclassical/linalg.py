@@ -34,8 +34,9 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if not 0.0 < getattr(self, f.name) < float("inf"):  # also False for NaN
-                raise ValueError(f"tolerance {f.name} must be finite and strictly positive")
+            value = getattr(self, f.name)
+            if isinstance(value, (bool, np.bool_)) or not 0.0 < value < float("inf"):  # also False for NaN
+                raise ValueError(f"tolerance {f.name} must be a finite, strictly positive number, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()

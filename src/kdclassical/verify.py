@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .dft import dft_pair
-from .engine import is_kd_real, kd_table, support_counts
+from .engine import classicality, is_kd_real, kd_table, pure_classicality_criterion
 from .families import all_projectors, factorizations, family_identity_sums, lettered_families, prime_pair, pure_kd_set
 from .exceptions import ConditionsFailed, NotClassical
 from .geometry import decompose_p2, decompose_pq_three, hull_membership, hull_system
 from .harness import SampleConfig, perturbation_basis, probe_conjecture, sample_kd_boundary
 from .kdreal import b_side_condition, entry_partition, kd_real_basis, kd_real_condition, kd_real_dimension
-from .linalg import DEFAULT_TOL, real_span_rank
+from .linalg import DEFAULT_TOL, Tolerances, real_span_rank
 
 EQUIVALENCE_SEED = 96301
 MARGINAL_SEED = 55117
@@ -184,13 +184,12 @@ def check_pure_states(d: int) -> CheckResult:
     pair = dft_pair(d)
     good = []
     for v in (fam.states.T for fam in pure_kd_set(pair)):  # one member per row
-        values = kd_table(v[:, :, None] * v.conj()[:, None, :], pair).values
+        table = kd_table(v[:, :, None] * v.conj()[:, None, :], pair)
         good.extend(
-            (values.real.min(axis=(1, 2)) >= -1e-12)
-            & (np.abs(values.imag).max(axis=(1, 2)) <= 1e-12)
-            & np.equal([math.prod(support_counts(psi, pair)) for psi in v], d)
-            & (np.count_nonzero(np.abs(values - 1.0 / d) <= 1e-12, axis=(1, 2)) == d)
-            & (np.count_nonzero(np.abs(values) <= 1e-12, axis=(1, 2)) == d * d - d)
+            classicality(table, Tolerances(classicality=1e-12)).each
+            & np.array([pure_classicality_criterion(psi, pair) for psi in v])
+            & (np.count_nonzero(np.abs(table.values - 1.0 / d) <= 1e-12, axis=(1, 2)) == d)
+            & (np.count_nonzero(np.abs(table.values) <= 1e-12, axis=(1, 2)) == d * d - d)
         )
     return CheckResult(
         name=f"pure-state suite (d={d})",
@@ -334,22 +333,16 @@ def check_probe(d: int, n_perturb: int = 500, n_hull: int = 200) -> CheckResult:
 
 def run_dimension_suite(d: int) -> list[CheckResult]:
     """All checks applicable to one dimension, acceptance counts where pinned."""
-    results: list[CheckResult] = []
-    for maybe in (check_rank_pins(d), check_categories(d)):
-        if maybe is not None:
-            results.append(maybe)
+    results = [check_rank_pins(d), check_categories(d)]
     if d >= 3:
         results.append(check_kd_real_equivalence(d))
     if 2 <= d <= 16:
         results.append(check_dimension_triple(d))
-    results.append(check_pure_states(d))
-    results.append(check_marginals(d))
+    results += [check_pure_states(d), check_marginals(d)]
     if _prime_root(d) is not None:
         results.append(check_p2_roundtrip(d, n=500 if d == 9 else 100))
-    maybe = check_identity_resolutions(d)
-    if maybe is not None:
-        results.append(maybe)
+    results.append(check_identity_resolutions(d))
     if prime_pair(d) is not None:
         results.append(check_pq_three_decomposition(d, n=200 if d == 6 else 50))
         results.append(check_probe(d, n_perturb=500 if d == 6 else 100, n_hull=100))
-    return results
+    return [r for r in results if r is not None]

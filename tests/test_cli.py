@@ -700,3 +700,46 @@ def test_member_and_pq3_build_no_dense_projector(tmp_path, capsys, monkeypatch):
         path = write_state(tmp_path / f"pq3_{sets}.json", rho)
         assert run(["decompose", "--state", path, "--mode", "pq3", "--sets", sets]) == 0
     capsys.readouterr()
+
+
+def _pq3_state(tmp_path):
+    projs = [p for fam in lettered_families(dft_pair(6), "BCD").values() for p in fam.projectors()]
+    w = np.random.default_rng(37).dirichlet(np.ones(len(projs)))
+    return write_state(tmp_path / "s.json", sum(wi * p for wi, p in zip(w, projs)))
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ("BBC", "family 'B' is named twice in 'BBC'"),
+        ("BCE", "no family named 'E'; the letters are A, B, C, D"),
+        ("BC", "sets must be three distinct labels among A, B, C, D"),
+    ],
+)
+def test_decompose_pq3_refuses_letters_that_are_not_three_families(tmp_path, capsys, sets, message):
+    state = _pq3_state(tmp_path)
+    assert run(["decompose", "--state", state, "--mode", "pq3", "--sets", sets]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+def _unwritable_output_argv(tmp_path, command):
+    existing = tmp_path / "file"
+    existing.write_text("", encoding="utf-8")
+    missing = tmp_path / "missing" / "dir" / "out.json"
+    if command == "dft":
+        return ["dft", "--d", "3", "--out", str(missing)]
+    if command == "pure":
+        return ["pure", "--d", "3", "--out", str(existing)]
+    if command == "probe":  # the one candidate is archived after every sample is solved
+        return ["probe", "--d", "6", "--mode", "perturb", "--samples", "300", "--seed", "12721", "--out", str(existing)]
+    if command == "table":
+        return ["table", "--state", write_state(tmp_path / "s.json", np.eye(3) / 3), "--csv", str(tmp_path)]
+    return ["decompose", "--state", _pq3_state(tmp_path), "--mode", "pq3", "--out", str(missing)]
+
+
+@pytest.mark.parametrize("command", ["dft", "pure", "probe", "table", "decompose"])
+def test_an_output_path_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+    assert run(_unwritable_output_argv(tmp_path, command)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno ") and captured.out == ""

@@ -1,20 +1,27 @@
-"""Golden JSON text of the CLI: key names, key order, formatting and pinned values.
+"""Golden text of the CLI: key names, key order, formatting and pinned values.
 
 Each golden string is what the command printed or wrote, byte for byte,
 except that ``<x>`` stands for a float that must lie within 1e-12 of x: its
-last bits follow the BLAS build, while the text around it does not.
+last bits follow the BLAS build, while the text around it does not. The
+files in ``golden_cli/`` hold the help of ``kd`` and of each subcommand at
+80 columns (argparse's layout under Python 3.11) and ``kd categories`` in
+JSON and rendered; they contain no float and are compared byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kdclassical import matrix_to_json
 from kdclassical.cli import run
+
+GOLDEN_DIR = Path(__file__).parent / "golden_cli"
+COMMANDS = ["dft", "table", "check", "pure", "categories", "real-dim", "span-rank", "decompose", "member", "probe", "verify"]
 
 CHECK_CLASSICAL = '{"classical": true, "min_real": <0.0625>, "max_imag_abs": <0.0>, "witness": null}\n'
 CHECK_NOT_CLASSICAL = (
@@ -91,3 +98,20 @@ def test_probe_golden_report_and_manifest(tmp_path, capsys):
     report = re.sub(r', "runtime_ms": [0-9]+', "", capsys.readouterr().out, count=1)
     assert_golden(report.replace(str(out), "OUT"), PROBE_D6)
     assert_golden((out / "manifest.json").read_text(encoding="utf-8"), MANIFEST_D6)
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_golden_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / f"help-{command or 'kd'}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("d", [5, 6, 9])
+@pytest.mark.parametrize("render", [False, True])
+def test_categories_golden_text(capsys, d, render):
+    assert run(["categories", "--d", str(d)] + (["--render"] if render else [])) == 0
+    name = f"categories-{d}-render.txt" if render else f"categories-{d}.json"
+    assert capsys.readouterr().out == (GOLDEN_DIR / name).read_text(encoding="utf-8")

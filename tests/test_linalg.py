@@ -178,7 +178,7 @@ def test_tolerances_must_be_positive():
 
 
 @pytest.mark.parametrize("field", ["eig_psd", "classicality", "rank_rel", "recon"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, np.True_])
 def test_tolerances_must_be_finite(field, value):
     with pytest.raises(ValueError, match="finite"):
         Tolerances(**{field: value})
